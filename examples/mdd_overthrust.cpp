@@ -39,8 +39,7 @@ int main() {
               format_bytes(stats.compressed_bytes).c_str(), stats.ratio(),
               t_comp.seconds());
 
-  const auto op =
-      mdd::make_mdc_operator(data, mdd::KernelBackend::kTlrFused, cc);
+  const auto op = mdd::make_mdc_operator(data, mdd::KernelBackend::kTlr, cc);
 
   // Invert for a single virtual source on the seafloor (the paper's first
   // experiment uses one at y=1620 m, x=2460 m).

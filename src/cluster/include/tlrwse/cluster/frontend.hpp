@@ -316,8 +316,9 @@ class ClusterService {
 
   /// Flags the request locally and broadcasts kCancel to the fleet
   /// (best-effort): queued requests reject at dequeue, in-flight solves
-  /// abort between frequency MVMs / LSQR iterations.
-  void cancel(std::uint64_t request_id);
+  /// abort between frequency MVMs / LSQR iterations. Returns false, and
+  /// records and sends nothing, when the id is unknown or already answered.
+  bool cancel(std::uint64_t request_id);
 
   /// Stops admission, drains admitted requests, joins the solve workers,
   /// then asks every live remote worker to shut down. Idempotent.
@@ -421,8 +422,10 @@ class ClusterService {
   std::atomic<std::uint32_t> next_shard_id_{1};
 
   mutable std::mutex state_mu_;
+  // Both hold only in-flight requests: a tenant's key goes when its count
+  // reaches zero, an id when respond() answers it.
   std::unordered_map<std::string, std::size_t> tenant_inflight_;
-  std::unordered_set<std::uint64_t> cancelled_;
+  std::unordered_map<std::uint64_t, bool> live_;  // id -> cancel requested
   std::unordered_map<serve::OperatorKey,
                      std::shared_future<std::shared_ptr<const Placement>>,
                      serve::OperatorKeyHash>

@@ -19,7 +19,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <unordered_set>
+#include <unordered_map>
 #include <vector>
 
 #include "tlrwse/cluster/wire.hpp"
@@ -84,7 +84,11 @@ class ShardWorker {
 
   mutable std::mutex mu_;
   std::map<std::uint32_t, std::shared_ptr<const Shard>> shards_;
-  std::unordered_set<std::uint64_t> cancelled_;
+  struct Running {
+    int applies = 0;         // concurrent applies of one request id
+    bool cancelled = false;  // a kCancel landed while they ran
+  };
+  std::unordered_map<std::uint64_t, Running> running_;  // under mu_
   std::atomic<bool> shutdown_{false};
   std::atomic<std::uint64_t> inflight_{0};
   std::atomic<std::uint64_t> span_drops_{0};  // take()-observed drop total

@@ -519,6 +519,10 @@ SubmittedRequest ClusterService::submit(ClusterRequest req) {
     }
     ++inflight;  // released by respond()
   }
+  {
+    std::lock_guard<std::mutex> lock(state_mu_);
+    live_.emplace(ticket.id, false);  // erased by respond()
+  }
 
   const auto push = queue_.try_push(ticket.req.op, ticket);
   if (push.admitted) {
@@ -532,10 +536,12 @@ SubmittedRequest ClusterService::submit(ClusterRequest req) {
   return out;
 }
 
-void ClusterService::cancel(std::uint64_t request_id) {
+bool ClusterService::cancel(std::uint64_t request_id) {
   {
     std::lock_guard<std::mutex> lock(state_mu_);
-    cancelled_.insert(request_id);
+    const auto it = live_.find(request_id);
+    if (it == live_.end()) return false;
+    it->second = true;
   }
   // Best-effort broadcast; a dead worker just drops it.
   CancelMsg msg;
@@ -544,6 +550,7 @@ void ClusterService::cancel(std::uint64_t request_id) {
   for (const auto& worker : fleet_) {
     if (worker->alive()) (void)worker->call_async(frame);
   }
+  return true;
 }
 
 void ClusterService::shutdown() {
@@ -1096,7 +1103,8 @@ void ClusterService::record_slo(const ClusterResponse& r) {
 
 bool ClusterService::is_cancelled(std::uint64_t id) const {
   std::lock_guard<std::mutex> lock(state_mu_);
-  return cancelled_.count(id) != 0;
+  const auto it = live_.find(id);
+  return it != live_.end() && it->second;
 }
 
 void ClusterService::invalidate_placement(const serve::OperatorKey& key) {
@@ -1121,9 +1129,11 @@ void ClusterService::respond(Ticket& ticket, ClusterResponse r) {
     std::lock_guard<std::mutex> lock(state_mu_);
     if (cfg_.tenant_quota > 0) {
       const auto it = tenant_inflight_.find(ticket.req.tenant);
-      if (it != tenant_inflight_.end() && it->second > 0) --it->second;
+      if (it != tenant_inflight_.end() && --it->second == 0) {
+        tenant_inflight_.erase(it);
+      }
     }
-    cancelled_.erase(ticket.id);
+    live_.erase(ticket.id);
   }
   ticket.done.set_value(std::move(r));
 }

@@ -171,6 +171,22 @@ Frame ShardWorker::handle_apply(const ApplyMsg& msg, std::uint64_t recv_ns) {
   const std::uint64_t apply_span_id = traced ? span_buf_.next_span_id() : 0;
   const std::uint64_t apply_start_ns = traced ? obs::steady_now_ns() : 0;
 
+  // The id is cancellable while an apply of it runs here; the last one to
+  // finish drops the entry, and with it any cancel recorded against it.
+  struct RunningGuard {
+    ShardWorker& w;
+    std::uint64_t id;
+    RunningGuard(ShardWorker& worker, std::uint64_t rid) : w(worker), id(rid) {
+      std::lock_guard<std::mutex> lock(w.mu_);
+      ++w.running_[id].applies;
+    }
+    ~RunningGuard() {
+      std::lock_guard<std::mutex> lock(w.mu_);
+      const auto it = w.running_.find(id);
+      if (--it->second.applies == 0) w.running_.erase(it);
+    }
+  } running_guard(*this, msg.request_id);
+
   mdc::FrequencyWorkspace& ws = ws_pool_.local();
   for (std::size_t q = 0; q < nq; ++q) {
     // Between per-frequency MVMs is where a deadline or cancel can take
@@ -184,33 +200,22 @@ Frame ShardWorker::handle_apply(const ApplyMsg& msg, std::uint64_t recv_ns) {
                            "worker: deadline exceeded mid-shard");
       }
     }
+    bool cancelled = false;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      if (cancelled_.count(msg.request_id) != 0) {
-        cancelled_.erase(msg.request_id);
-        registry_.counter("worker.cancelled").add();
-        return error_frame(msg.request_id, WireErrorCode::kCancelled,
-                           "worker: request cancelled");
-      }
+      cancelled = running_.at(msg.request_id).cancelled;
+    }
+    if (cancelled) {
+      registry_.counter("worker.cancelled").add();
+      return error_frame(msg.request_id, WireErrorCode::kCancelled,
+                         "worker: request cancelled");
     }
     const mdc::FrequencyMvm& kernel = *shard->kernels[q];
     const std::span<const cf32> xk(msg.data.data() + q * nrhs * nin,
                                    nrhs * nin);
     const std::span<cf32> yk(ok.data.data() + q * nrhs * nout, nrhs * nout);
     const std::uint64_t mvm_start_ns = traced ? obs::steady_now_ns() : 0;
-    if (msg.nrhs == 1) {
-      if (msg.adjoint) {
-        kernel.apply_adjoint(xk, yk, ws);
-      } else {
-        kernel.apply(xk, yk, ws);
-      }
-    } else {
-      if (msg.adjoint) {
-        kernel.apply_adjoint_batch(xk, yk, msg.nrhs, ws);
-      } else {
-        kernel.apply_batch(xk, yk, msg.nrhs, ws);
-      }
-    }
+    kernel.apply_panel(msg.adjoint, xk, yk, msg.nrhs, ws);
     if (traced) {
       obs::RemoteSpan span;
       span.name = "worker.mvm q=" +
@@ -222,12 +227,6 @@ Frame ShardWorker::handle_apply(const ApplyMsg& msg, std::uint64_t recv_ns) {
       span.dur_ns = obs::steady_now_ns() - mvm_start_ns;
       span_buf_.record(std::move(span));
     }
-  }
-  {
-    // A cancel that raced past the last check is moot now; drop it so the
-    // set stays bounded by genuinely in-flight ids.
-    std::lock_guard<std::mutex> lock(mu_);
-    cancelled_.erase(msg.request_id);
   }
   registry_.counter("worker.applies").add();
   if (traced) {
@@ -291,8 +290,12 @@ Frame ShardWorker::handle_cancel(const CancelMsg& msg) {
   CancelOkMsg ok;
   ok.request_id = msg.request_id;
   {
+    // Only an id whose apply is running here is recorded; a cancel that
+    // arrives before or after it has nothing to stop.
     std::lock_guard<std::mutex> lock(mu_);
-    ok.in_flight = cancelled_.insert(msg.request_id).second;
+    const auto it = running_.find(msg.request_id);
+    ok.in_flight = it != running_.end();
+    if (ok.in_flight) it->second.cancelled = true;
   }
   registry_.counter("worker.cancel_requests").add();
   return ok.to_frame();

@@ -202,20 +202,24 @@ struct ArchiveInfo {
 
 /// Builds the MDC operator directly from an archive (no recompression).
 [[nodiscard]] std::unique_ptr<mdc::MdcOperator> make_operator(
-    const KernelArchive& archive, mdc::TlrKernel kernel = mdc::TlrKernel::kFused);
+    const KernelArchive& archive);
 
 /// Shared-basis counterpart: one SharedBasisMvm per frequency, each band's
 /// basis arena compiled once and shared by its frequencies.
 [[nodiscard]] std::unique_ptr<mdc::MdcOperator> make_operator(
     const SharedKernelArchive& archive);
 
+/// Loads a TLRA or TLRS archive, whichever peek_archive finds at `path`,
+/// and builds its operator.
+[[nodiscard]] std::unique_ptr<mdc::MdcOperator> load_operator(
+    const std::string& path);
+
 /// The per-frequency kernel factories behind make_operator, exposed for
 /// callers that drive frequencies directly (cluster workers run the exact
 /// same FrequencyMvm objects without the FFT wrapper, which is what keeps
 /// a distributed solve bitwise identical to the single-process one).
 [[nodiscard]] std::vector<std::unique_ptr<mdc::FrequencyMvm>> make_kernels(
-    const KernelArchive& archive,
-    mdc::TlrKernel kernel = mdc::TlrKernel::kFused);
+    const KernelArchive& archive);
 [[nodiscard]] std::vector<std::unique_ptr<mdc::FrequencyMvm>> make_kernels(
     const SharedKernelArchive& archive);
 

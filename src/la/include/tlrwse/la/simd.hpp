@@ -20,8 +20,7 @@
 // Selection: `dispatch()` resolves the best tier compiled in AND supported
 // by the host, overridable by the TLRWSE_SIMD_LEVEL environment variable
 // ("scalar" | "neon" | "avx2" | "avx512"; requests above what the host
-// supports clamp downward). With -DTLRWSE_SIMD=OFF only the scalar tier is
-// compiled and dispatch() always returns it.
+// supports clamp downward).
 #pragma once
 
 #include <cstdint>
@@ -107,9 +106,6 @@ struct KernelTable {
   /// Interleave planar re/im back into a complex vector.
   void (*merge_complex)(index_t n, const float* re, const float* im, cf32* y);
 };
-
-/// True when the CMake option TLRWSE_SIMD compiled the vector tiers in.
-[[nodiscard]] bool compiled_in() noexcept;
 
 [[nodiscard]] const char* level_name(Level level) noexcept;
 

@@ -80,30 +80,33 @@ class MdcOperator final : public LinearOperator {
 
  private:
   /// Per-thread scratch of the frequency loop: the gathered per-frequency
-  /// input/output slices plus the kernel backend's workspace.
+  /// input/output panels plus the kernel backend's workspace.
   struct FreqScratch {
-    std::vector<cf32> xk;  // receiver-side slice at one frequency
-    std::vector<cf32> yk;  // source-side slice at one frequency
+    std::vector<cf32> in;   // nin x nrhs panel at one frequency
+    std::vector<cf32> out;  // nout x nrhs panel at one frequency
     FrequencyWorkspace kernel;
   };
-  /// Per-call scratch of one apply/apply_adjoint: the full spectral pages
+  /// Per-call scratch of one sweep: the full input/output spectral pages
   /// and the batched-FFT buffers. Pooled per calling thread so concurrent
   /// top-level applies of one operator stay independent.
   struct PageScratch {
-    std::vector<cf32> xhat;  // receiver-side spectrum, nf_full x nr
-    std::vector<cf32> yhat;  // source-side spectrum, nf_full x ns
+    std::vector<cf32> in_hat;   // input spectrum, nf_full x nin per RHS
+    std::vector<cf32> out_hat;  // output spectrum, nf_full x nout per RHS
     fft::BatchWorkspace fft;
   };
 
-  /// The kernel loop shared by the four apply forms: one ascending sweep
-  /// over the stream's shards, each shard an OpenMP region over its
-  /// frequencies with `per_freq(q, kernel, scratch)` doing the
-  /// direction-specific gather/MVM/scatter. Polls the calling scope's
-  /// cancel hook between MVMs and between shards; throws CancelledError
-  /// on cancellation and rethrows the stream's typed error on a failed
-  /// acquire. Defined in the .cpp (only apply* instantiates it).
-  template <typename PerFreq>
-  void kernel_sweep(PageScratch& ps, const PerFreq& per_freq) const;
+  /// The one body behind all four public apply forms: FFT per RHS, the
+  /// kernel sweep, inverse FFT per RHS. Records the `span` trace span and
+  /// the mdc.* timers and counters.
+  void sweep(const char* span, bool adjoint, std::span<const float> in,
+             std::span<float> out, index_t nrhs) const;
+  /// One ascending pass over the stream's shards, each shard an OpenMP
+  /// region over its frequencies doing gather / apply_panel / scatter from
+  /// ps.in_hat into ps.out_hat. Polls the calling scope's cancel hook
+  /// between MVMs and between shards; throws CancelledError on
+  /// cancellation and rethrows the stream's typed error on a failed
+  /// acquire.
+  void kernel_sweep(PageScratch& ps, bool adjoint, index_t nrhs) const;
 
   index_t nt_ = 0;
   index_t ns_ = 0;  // kernel rows (sources)

@@ -116,10 +116,16 @@ MdcOperator::MdcOperator(index_t nt, std::vector<index_t> freq_bins,
                  "frequency bins must be distinct");
 }
 
-template <typename PerFreq>
-void MdcOperator::kernel_sweep([[maybe_unused]] PageScratch& ps,
-                               const PerFreq& per_freq) const {
+void MdcOperator::kernel_sweep(PageScratch& ps, bool adjoint,
+                               index_t nrhs) const {
   [[maybe_unused]] const int team = freq_team_size(inner_threads_);
+  const index_t nf_full = nt_ / 2 + 1;
+  const index_t nin = adjoint ? ns_ : nr_;
+  const index_t nout = adjoint ? nr_ : ns_;
+  const std::span<const cf32> in_hat(ps.in_hat);
+  const std::span<cf32> out_hat(ps.out_hat);
+  const bool trace_freqs = obs::Tracer::detail_enabled();
+  ApplyMetrics& met = ApplyMetrics::instance();
   // Captured once: the hook lives on the calling thread, but every team
   // member polls it between MVMs so a deadline hit stops the whole batch.
   const CancelScope::Hook* const cancel = CancelScope::current();
@@ -152,8 +158,36 @@ void MdcOperator::kernel_sweep([[maybe_unused]] PageScratch& ps,
             continue;
           }
         }
+        // Gather an nin x nrhs panel at this frequency's bin, one
+        // multi-RHS kernel call, scatter back. Each frequency reads and
+        // writes only its own bin, so the loop needs no shared state
+        // beyond per-thread scratch.
+        const std::uint64_t t0 = trace_freqs ? obs::Tracer::now_ns() : 0;
         FreqScratch& fs = freq_scratch_.local();
-        per_freq(q, *kernels[static_cast<std::size_t>(q - q_begin)], fs);
+        fs.in.resize(static_cast<std::size_t>(nin * nrhs));
+        fs.out.resize(static_cast<std::size_t>(nout * nrhs));
+        const index_t bin = freq_bins_[static_cast<std::size_t>(q)];
+        for (index_t r = 0; r < nrhs; ++r) {
+          for (index_t i = 0; i < nin; ++i) {
+            fs.in[static_cast<std::size_t>(r * nin + i)] =
+                in_hat[static_cast<std::size_t>((r * nin + i) * nf_full +
+                                                bin)];
+          }
+        }
+        kernels[static_cast<std::size_t>(q - q_begin)]->apply_panel(
+            adjoint, fs.in, fs.out, nrhs, fs.kernel);
+        for (index_t r = 0; r < nrhs; ++r) {
+          for (index_t o = 0; o < nout; ++o) {
+            out_hat[static_cast<std::size_t>((r * nout + o) * nf_full +
+                                             bin)] =
+                fs.out[static_cast<std::size_t>(r * nout + o)];
+          }
+        }
+        if (trace_freqs) {
+          const std::uint64_t dur = obs::Tracer::now_ns() - t0;
+          obs::Tracer::instance().complete("mdc.freq_mvm", "mdc", t0, dur);
+          met.freq_mvm_s.record(static_cast<double>(dur) * 1e-9);
+        }
       }
       TLRWSE_TSAN_RELEASE(&ps);
     }
@@ -164,55 +198,50 @@ void MdcOperator::kernel_sweep([[maybe_unused]] PageScratch& ps,
   if (cancelled.load(std::memory_order_relaxed)) throw CancelledError();
 }
 
-void MdcOperator::apply(std::span<const float> x, std::span<float> y) const {
-  TLRWSE_TRACE_SPAN("mdc.apply", "mdc");
+void MdcOperator::sweep(const char* span, bool adjoint,
+                        std::span<const float> in, std::span<float> out,
+                        index_t nrhs) const {
+  TLRWSE_TRACE_SPAN(span, "mdc");
   ApplyMetrics& met = ApplyMetrics::instance();
-  met.applies.add();
+  (adjoint ? met.adjoints : met.applies).add(static_cast<std::uint64_t>(nrhs));
   WallTimer apply_timer;
-  TLRWSE_REQUIRE(static_cast<index_t>(x.size()) == cols(), "x size");
-  TLRWSE_REQUIRE(static_cast<index_t>(y.size()) == rows(), "y size");
+  TLRWSE_REQUIRE(nrhs >= 1, "nrhs");
+  // Per RHS: nin input traces (receivers forward, sources adjoint) in,
+  // nout traces out.
+  const index_t nin = adjoint ? ns_ : nr_;
+  const index_t nout = adjoint ? nr_ : ns_;
+  TLRWSE_REQUIRE(static_cast<index_t>(in.size()) == nt_ * nin * nrhs,
+                 "input size");
+  TLRWSE_REQUIRE(static_cast<index_t>(out.size()) == nt_ * nout * nrhs,
+                 "output size");
   const index_t nf_full = nt_ / 2 + 1;
+  const std::size_t in_page = static_cast<std::size_t>(nf_full * nin);
+  const std::size_t out_page = static_cast<std::size_t>(nf_full * nout);
+  const std::size_t in_len = static_cast<std::size_t>(nt_ * nin);
+  const std::size_t out_len = static_cast<std::size_t>(nt_ * nout);
   PageScratch& ps = page_scratch_.local();
 
-  // F: batched rFFT over receiver traces.
-  ps.xhat.resize(static_cast<std::size_t>(nf_full * nr_));
+  // F: batched rFFT over each RHS's input traces.
+  ps.in_hat.resize(in_page * static_cast<std::size_t>(nrhs));
   {
     TLRWSE_TRACE_SPAN("mdc.fft_forward", "mdc");
     WallTimer fft_timer;
-    fft::rfft_batch(plan_, x, nr_, std::span<cf32>(ps.xhat), ps.fft);
+    for (index_t r = 0; r < nrhs; ++r) {
+      const auto ru = static_cast<std::size_t>(r);
+      fft::rfft_batch(plan_, in.subspan(ru * in_len, in_len), nin,
+                      std::span<cf32>(ps.in_hat).subspan(ru * in_page, in_page),
+                      ps.fft);
+    }
     met.fft_s.record(fft_timer.seconds());
   }
 
-  // K: per-frequency kernel MVMs into the source-side spectrum. Each
-  // frequency reads and writes only its own bin's strided slice, so the
-  // loop parallelises with no shared state beyond per-thread scratch.
-  ps.yhat.assign(static_cast<std::size_t>(nf_full * ns_), cf32{});
+  // K or K^H: per-frequency kernel MVMs into the output spectrum; bins
+  // outside the retained band stay zero.
+  ps.out_hat.assign(out_page * static_cast<std::size_t>(nrhs), cf32{});
   {
-    const std::span<const cf32> xhat(ps.xhat);
-    const std::span<cf32> yhat(ps.yhat);
     TLRWSE_TRACE_SPAN("mdc.kernel_loop", "mdc");
     WallTimer kernel_timer;
-    const bool trace_freqs = obs::Tracer::detail_enabled();
-    kernel_sweep(ps, [&](index_t q, FrequencyMvm& kernel, FreqScratch& fs) {
-      const std::uint64_t t0 = trace_freqs ? obs::Tracer::now_ns() : 0;
-      fs.xk.resize(static_cast<std::size_t>(nr_));
-      fs.yk.resize(static_cast<std::size_t>(ns_));
-      const index_t bin = freq_bins_[static_cast<std::size_t>(q)];
-      for (index_t r = 0; r < nr_; ++r) {
-        fs.xk[static_cast<std::size_t>(r)] =
-            xhat[static_cast<std::size_t>(r * nf_full + bin)];
-      }
-      kernel.apply(fs.xk, fs.yk, fs.kernel);
-      for (index_t s = 0; s < ns_; ++s) {
-        yhat[static_cast<std::size_t>(s * nf_full + bin)] =
-            fs.yk[static_cast<std::size_t>(s)];
-      }
-      if (trace_freqs) {
-        const std::uint64_t dur = obs::Tracer::now_ns() - t0;
-        obs::Tracer::instance().complete("mdc.freq_mvm", "mdc", t0, dur);
-        met.freq_mvm_s.record(static_cast<double>(dur) * 1e-9);
-      }
-    });
+    kernel_sweep(ps, adjoint, nrhs);
     met.kernel_loop_s.record(kernel_timer.seconds());
   }
 
@@ -220,220 +249,36 @@ void MdcOperator::apply(std::span<const float> x, std::span<float> y) const {
   {
     TLRWSE_TRACE_SPAN("mdc.fft_inverse", "mdc");
     WallTimer fft_timer;
-    fft::irfft_batch(plan_, std::span<const cf32>(ps.yhat), ns_, y, ps.fft);
+    for (index_t r = 0; r < nrhs; ++r) {
+      const auto ru = static_cast<std::size_t>(r);
+      fft::irfft_batch(
+          plan_,
+          std::span<const cf32>(ps.out_hat).subspan(ru * out_page, out_page),
+          nout, out.subspan(ru * out_len, out_len), ps.fft);
+    }
     met.fft_s.record(fft_timer.seconds());
   }
   met.apply_s.record(apply_timer.seconds());
+}
+
+void MdcOperator::apply(std::span<const float> x, std::span<float> y) const {
+  sweep("mdc.apply", false, x, y, 1);
 }
 
 void MdcOperator::apply_adjoint(std::span<const float> y,
                                 std::span<float> x) const {
-  TLRWSE_TRACE_SPAN("mdc.apply_adjoint", "mdc");
-  ApplyMetrics& met = ApplyMetrics::instance();
-  met.adjoints.add();
-  WallTimer apply_timer;
-  TLRWSE_REQUIRE(static_cast<index_t>(y.size()) == rows(), "y size");
-  TLRWSE_REQUIRE(static_cast<index_t>(x.size()) == cols(), "x size");
-  const index_t nf_full = nt_ / 2 + 1;
-  PageScratch& ps = page_scratch_.local();
-
-  ps.yhat.resize(static_cast<std::size_t>(nf_full * ns_));
-  {
-    TLRWSE_TRACE_SPAN("mdc.fft_forward", "mdc");
-    WallTimer fft_timer;
-    fft::rfft_batch(plan_, y, ns_, std::span<cf32>(ps.yhat), ps.fft);
-    met.fft_s.record(fft_timer.seconds());
-  }
-
-  ps.xhat.assign(static_cast<std::size_t>(nf_full * nr_), cf32{});
-  {
-    const std::span<const cf32> yhat(ps.yhat);
-    const std::span<cf32> xhat(ps.xhat);
-    TLRWSE_TRACE_SPAN("mdc.kernel_loop", "mdc");
-    WallTimer kernel_timer;
-    const bool trace_freqs = obs::Tracer::detail_enabled();
-    kernel_sweep(ps, [&](index_t q, FrequencyMvm& kernel, FreqScratch& fs) {
-      const std::uint64_t t0 = trace_freqs ? obs::Tracer::now_ns() : 0;
-      fs.xk.resize(static_cast<std::size_t>(nr_));
-      fs.yk.resize(static_cast<std::size_t>(ns_));
-      const index_t bin = freq_bins_[static_cast<std::size_t>(q)];
-      for (index_t s = 0; s < ns_; ++s) {
-        fs.yk[static_cast<std::size_t>(s)] =
-            yhat[static_cast<std::size_t>(s * nf_full + bin)];
-      }
-      kernel.apply_adjoint(fs.yk, fs.xk, fs.kernel);
-      for (index_t r = 0; r < nr_; ++r) {
-        xhat[static_cast<std::size_t>(r * nf_full + bin)] =
-            fs.xk[static_cast<std::size_t>(r)];
-      }
-      if (trace_freqs) {
-        const std::uint64_t dur = obs::Tracer::now_ns() - t0;
-        obs::Tracer::instance().complete("mdc.freq_mvm", "mdc", t0, dur);
-        met.freq_mvm_s.record(static_cast<double>(dur) * 1e-9);
-      }
-    });
-    met.kernel_loop_s.record(kernel_timer.seconds());
-  }
-
-  {
-    TLRWSE_TRACE_SPAN("mdc.fft_inverse", "mdc");
-    WallTimer fft_timer;
-    fft::irfft_batch(plan_, std::span<const cf32>(ps.xhat), nr_, x, ps.fft);
-    met.fft_s.record(fft_timer.seconds());
-  }
-  met.apply_s.record(apply_timer.seconds());
+  sweep("mdc.apply_adjoint", true, y, x, 1);
 }
 
 void MdcOperator::apply_batch(std::span<const float> X, std::span<float> Y,
                               index_t nrhs) const {
-  TLRWSE_TRACE_SPAN("mdc.apply_batch", "mdc");
-  ApplyMetrics& met = ApplyMetrics::instance();
-  met.applies.add(static_cast<std::uint64_t>(nrhs));
-  WallTimer apply_timer;
-  TLRWSE_REQUIRE(nrhs >= 1, "nrhs");
-  TLRWSE_REQUIRE(static_cast<index_t>(X.size()) == cols() * nrhs, "X size");
-  TLRWSE_REQUIRE(static_cast<index_t>(Y.size()) == rows() * nrhs, "Y size");
-  const index_t nf_full = nt_ / 2 + 1;
-  const index_t xpage = nf_full * nr_;
-  const index_t ypage = nf_full * ns_;
-  PageScratch& ps = page_scratch_.local();
-
-  ps.xhat.resize(static_cast<std::size_t>(xpage * nrhs));
-  {
-    TLRWSE_TRACE_SPAN("mdc.fft_forward", "mdc");
-    WallTimer fft_timer;
-    for (index_t r = 0; r < nrhs; ++r) {
-      fft::rfft_batch(plan_,
-                      X.subspan(static_cast<std::size_t>(r * cols()),
-                                static_cast<std::size_t>(cols())),
-                      nr_,
-                      std::span<cf32>(ps.xhat.data() + r * xpage,
-                                      static_cast<std::size_t>(xpage)),
-                      ps.fft);
-    }
-    met.fft_s.record(fft_timer.seconds());
-  }
-
-  // Per frequency: gather an nr x nrhs panel, one multi-RHS kernel call,
-  // scatter back. Same bin-exclusive access pattern as apply(), so the
-  // loop parallelises identically.
-  ps.yhat.assign(static_cast<std::size_t>(ypage * nrhs), cf32{});
-  {
-    const std::span<const cf32> xhat(ps.xhat);
-    const std::span<cf32> yhat(ps.yhat);
-    TLRWSE_TRACE_SPAN("mdc.kernel_loop", "mdc");
-    WallTimer kernel_timer;
-    kernel_sweep(ps, [&](index_t q, FrequencyMvm& kernel, FreqScratch& fs) {
-      fs.xk.resize(static_cast<std::size_t>(nr_ * nrhs));
-      fs.yk.resize(static_cast<std::size_t>(ns_ * nrhs));
-      const index_t bin = freq_bins_[static_cast<std::size_t>(q)];
-      for (index_t r = 0; r < nrhs; ++r) {
-        for (index_t rec = 0; rec < nr_; ++rec) {
-          fs.xk[static_cast<std::size_t>(r * nr_ + rec)] =
-              xhat[static_cast<std::size_t>(r * xpage + rec * nf_full + bin)];
-        }
-      }
-      kernel.apply_batch(fs.xk, fs.yk, nrhs, fs.kernel);
-      for (index_t r = 0; r < nrhs; ++r) {
-        for (index_t s = 0; s < ns_; ++s) {
-          yhat[static_cast<std::size_t>(r * ypage + s * nf_full + bin)] =
-              fs.yk[static_cast<std::size_t>(r * ns_ + s)];
-        }
-      }
-    });
-    met.kernel_loop_s.record(kernel_timer.seconds());
-  }
-
-  {
-    TLRWSE_TRACE_SPAN("mdc.fft_inverse", "mdc");
-    WallTimer fft_timer;
-    for (index_t r = 0; r < nrhs; ++r) {
-      fft::irfft_batch(plan_,
-                       std::span<const cf32>(ps.yhat.data() + r * ypage,
-                                             static_cast<std::size_t>(ypage)),
-                       ns_,
-                       Y.subspan(static_cast<std::size_t>(r * rows()),
-                                 static_cast<std::size_t>(rows())),
-                       ps.fft);
-    }
-    met.fft_s.record(fft_timer.seconds());
-  }
-  met.apply_s.record(apply_timer.seconds());
+  sweep("mdc.apply_batch", false, X, Y, nrhs);
 }
 
 void MdcOperator::apply_adjoint_batch(std::span<const float> Y,
                                       std::span<float> X,
                                       index_t nrhs) const {
-  TLRWSE_TRACE_SPAN("mdc.apply_adjoint_batch", "mdc");
-  ApplyMetrics& met = ApplyMetrics::instance();
-  met.adjoints.add(static_cast<std::uint64_t>(nrhs));
-  WallTimer apply_timer;
-  TLRWSE_REQUIRE(nrhs >= 1, "nrhs");
-  TLRWSE_REQUIRE(static_cast<index_t>(Y.size()) == rows() * nrhs, "Y size");
-  TLRWSE_REQUIRE(static_cast<index_t>(X.size()) == cols() * nrhs, "X size");
-  const index_t nf_full = nt_ / 2 + 1;
-  const index_t xpage = nf_full * nr_;
-  const index_t ypage = nf_full * ns_;
-  PageScratch& ps = page_scratch_.local();
-
-  ps.yhat.resize(static_cast<std::size_t>(ypage * nrhs));
-  {
-    TLRWSE_TRACE_SPAN("mdc.fft_forward", "mdc");
-    WallTimer fft_timer;
-    for (index_t r = 0; r < nrhs; ++r) {
-      fft::rfft_batch(plan_,
-                      Y.subspan(static_cast<std::size_t>(r * rows()),
-                                static_cast<std::size_t>(rows())),
-                      ns_,
-                      std::span<cf32>(ps.yhat.data() + r * ypage,
-                                      static_cast<std::size_t>(ypage)),
-                      ps.fft);
-    }
-    met.fft_s.record(fft_timer.seconds());
-  }
-
-  ps.xhat.assign(static_cast<std::size_t>(xpage * nrhs), cf32{});
-  {
-    const std::span<const cf32> yhat(ps.yhat);
-    const std::span<cf32> xhat(ps.xhat);
-    TLRWSE_TRACE_SPAN("mdc.kernel_loop", "mdc");
-    WallTimer kernel_timer;
-    kernel_sweep(ps, [&](index_t q, FrequencyMvm& kernel, FreqScratch& fs) {
-      fs.xk.resize(static_cast<std::size_t>(nr_ * nrhs));
-      fs.yk.resize(static_cast<std::size_t>(ns_ * nrhs));
-      const index_t bin = freq_bins_[static_cast<std::size_t>(q)];
-      for (index_t r = 0; r < nrhs; ++r) {
-        for (index_t s = 0; s < ns_; ++s) {
-          fs.yk[static_cast<std::size_t>(r * ns_ + s)] =
-              yhat[static_cast<std::size_t>(r * ypage + s * nf_full + bin)];
-        }
-      }
-      kernel.apply_adjoint_batch(fs.yk, fs.xk, nrhs, fs.kernel);
-      for (index_t r = 0; r < nrhs; ++r) {
-        for (index_t rec = 0; rec < nr_; ++rec) {
-          xhat[static_cast<std::size_t>(r * xpage + rec * nf_full + bin)] =
-              fs.xk[static_cast<std::size_t>(r * nr_ + rec)];
-        }
-      }
-    });
-    met.kernel_loop_s.record(kernel_timer.seconds());
-  }
-
-  {
-    TLRWSE_TRACE_SPAN("mdc.fft_inverse", "mdc");
-    WallTimer fft_timer;
-    for (index_t r = 0; r < nrhs; ++r) {
-      fft::irfft_batch(plan_,
-                       std::span<const cf32>(ps.xhat.data() + r * xpage,
-                                             static_cast<std::size_t>(xpage)),
-                       nr_,
-                       X.subspan(static_cast<std::size_t>(r * cols()),
-                                 static_cast<std::size_t>(cols())),
-                       ps.fft);
-    }
-    met.fft_s.record(fft_timer.seconds());
-  }
-  met.apply_s.record(apply_timer.seconds());
+  sweep("mdc.apply_adjoint_batch", true, Y, X, nrhs);
 }
 
 }  // namespace tlrwse::mdc

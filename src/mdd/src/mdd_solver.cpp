@@ -52,13 +52,8 @@ std::unique_ptr<mdc::MdcOperator> make_mdc_operator(
       kernels.push_back(std::make_unique<mdc::DenseMvm>(std::move(K)));
       continue;
     }
-    const auto tlr_mat = tlr::compress_tlr(K, compression);
-    tlr::StackedTlr<cf32> stacks(tlr_mat);
-    const mdc::TlrKernel kind =
-        (backend == KernelBackend::kTlr3Phase)  ? mdc::TlrKernel::kThreePhase
-        : (backend == KernelBackend::kTlrFused) ? mdc::TlrKernel::kFused
-                                                : mdc::TlrKernel::kRealSplit;
-    kernels.push_back(std::make_unique<mdc::TlrMvm>(std::move(stacks), kind));
+    kernels.push_back(std::make_unique<mdc::TlrMvm>(
+        tlr::StackedTlr<cf32>(tlr::compress_tlr(K, compression))));
   }
   return std::make_unique<mdc::MdcOperator>(data.config.nt, data.freq_bins,
                                             std::move(kernels));

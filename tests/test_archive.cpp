@@ -9,6 +9,7 @@
 #include <fstream>
 #include <iterator>
 
+#include "tlrwse/common/rng.hpp"
 #include "tlrwse/io/archive.hpp"
 #include "tlrwse/mdd/metrics.hpp"
 
@@ -111,7 +112,7 @@ TEST(Archive, MatchesDirectTlrOperator) {
   const auto archive = build_archive(data, cc());
   const auto op_arch = make_operator(archive);
   const auto op_direct =
-      mdd::make_mdc_operator(data, mdd::KernelBackend::kTlrFused, cc());
+      mdd::make_mdc_operator(data, mdd::KernelBackend::kTlr, cc());
   const index_t v = 2;
   const auto rhs = mdd::virtual_source_rhs(data, v);
   mdd::LsqrConfig lsqr;
@@ -248,6 +249,37 @@ TEST(SharedArchive, MatchesPerFrequencyOperator) {
   const auto a = mdd::solve_mdd(*op_shared, rhs, lsqr);
   const auto b = mdd::solve_mdd(*op_plain, rhs, lsqr);
   EXPECT_LT(mdd::nmse(a.x, b.x), 1e-4);
+}
+
+/// Forward and adjoint outputs of `a` and `b` must agree bitwise.
+void expect_same_action(const mdc::MdcOperator& a, const mdc::MdcOperator& b) {
+  ASSERT_EQ(a.rows(), b.rows());
+  ASSERT_EQ(a.cols(), b.cols());
+  Rng rng(3);
+  std::vector<float> x(static_cast<std::size_t>(a.cols()));
+  std::vector<float> y(static_cast<std::size_t>(a.rows()));
+  for (auto& v : x) v = static_cast<float>(rng.normal());
+  for (auto& v : y) v = static_cast<float>(rng.normal());
+  std::vector<float> ya(y.size()), yb(y.size()), xa(x.size()), xb(x.size());
+  a.apply(x, std::span<float>(ya));
+  b.apply(x, std::span<float>(yb));
+  a.apply_adjoint(y, std::span<float>(xa));
+  b.apply_adjoint(y, std::span<float>(xb));
+  EXPECT_EQ(std::memcmp(ya.data(), yb.data(), ya.size() * sizeof(float)), 0);
+  EXPECT_EQ(std::memcmp(xa.data(), xb.data(), xa.size() * sizeof(float)), 0);
+}
+
+TEST(Archive, LoadOperatorDispatchesOnFormat) {
+  const auto& data = dataset();
+  TempFile shared("tlrwse_load_op_shared.bin");
+  save_shared_archive(shared.path, build_shared_archive(data, sc(), 4));
+  TempFile plain("tlrwse_load_op_plain.bin");
+  save_archive(plain.path, build_archive(data, cc()));
+
+  expect_same_action(*load_operator(shared.path),
+                     *make_operator(load_shared_archive(shared.path)));
+  expect_same_action(*load_operator(plain.path),
+                     *make_operator(load_archive(plain.path)));
 }
 
 TEST(SharedArchive, ConversionFromPerFrequencyArchive) {

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <filesystem>
@@ -421,6 +422,59 @@ TEST(RemoteMdcOperator, DenseShardedApplyMatchesLocalBitwise) {
             0);
 }
 
+/// Kernel that, mid-apply, sends a kCancel for `id` to its own worker and
+/// keeps the reply's in_flight flag: the cancel lands while the apply runs.
+class CancellingMvm final : public mdc::FrequencyMvm {
+ public:
+  CancellingMvm(ShardWorker& worker, std::uint64_t id, bool& in_flight)
+      : worker_(worker), id_(id), in_flight_(in_flight) {}
+  [[nodiscard]] index_t rows() const override { return 3; }
+  [[nodiscard]] index_t cols() const override { return 2; }
+  void apply_panel(bool /*adjoint*/, std::span<const cf32> /*X*/,
+                   std::span<cf32> Y, index_t /*nrhs*/,
+                   mdc::FrequencyWorkspace& /*ws*/) const override {
+    std::fill(Y.begin(), Y.end(), cf32{});
+    CancelMsg cancel;
+    cancel.request_id = id_;
+    in_flight_ = CancelOkMsg::from_frame(worker_.handle(cancel.to_frame()))
+                     .in_flight;
+  }
+
+ private:
+  ShardWorker& worker_;
+  std::uint64_t id_;
+  bool& in_flight_;
+};
+
+TEST(ShardWorker, CancelRecordsOnlyRunningApplies) {
+  ShardWorker worker;
+  bool in_flight = false;
+  std::vector<std::unique_ptr<mdc::FrequencyMvm>> kernels;
+  kernels.push_back(std::make_unique<CancellingMvm>(worker, 9, in_flight));
+  kernels.push_back(std::make_unique<mdc::DenseMvm>(la::MatrixCF(3, 2)));
+  worker.add_shard(1, 32, 3, 2, {1, 2}, std::move(kernels));
+
+  // No apply of id 9 is running yet: nothing to stop, nothing recorded.
+  CancelMsg early;
+  early.request_id = 9;
+  EXPECT_FALSE(
+      CancelOkMsg::from_frame(worker.handle(early.to_frame())).in_flight);
+
+  // The cancel sent from inside the first frequency's MVM is in flight and
+  // stops the apply before the second frequency.
+  ApplyMsg apply;
+  apply.request_id = 9;
+  apply.shard_id = 1;
+  apply.data.assign(2 * 2, cf32{1.0f, 0.0f});
+  const auto err = ErrorMsg::from_frame(worker.handle(apply.to_frame()));
+  EXPECT_TRUE(in_flight);
+  EXPECT_EQ(err.code, WireErrorCode::kCancelled);
+
+  // Once the apply has answered, the id is forgotten again.
+  EXPECT_FALSE(
+      CancelOkMsg::from_frame(worker.handle(early.to_frame())).in_flight);
+}
+
 // --------------------------------------------------- cluster fixtures --
 
 struct TempFile {
@@ -531,10 +585,7 @@ ClusterRequest make_request(const std::string& archive,
 std::vector<float> reference_solve(const std::string& archive,
                                    serve::RequestKind kind, index_t vsrc,
                                    int iters) {
-  const bool shared = io::peek_archive(archive).shared_basis;
-  const auto op = shared
-                      ? io::make_operator(io::load_shared_archive(archive))
-                      : io::make_operator(io::load_archive(archive));
+  const auto op = io::load_operator(archive);
   const auto rhs = mdd::virtual_source_rhs(dataset(), vsrc);
   if (kind == serve::RequestKind::kAdjoint) {
     return mdd::adjoint_reflectivity(*op, rhs);
@@ -783,6 +834,35 @@ TEST(ClusterService, CancelledRequestIsTyped) {
   release.set_value();
   EXPECT_EQ(victim.response.get().status, ClusterStatus::kCancelled);
   EXPECT_EQ(first.response.get().status, ClusterStatus::kOk);
+}
+
+TEST(ClusterService, CancelReachesOnlyInFlightRequests) {
+  auto fleet = make_fleet(2);
+  ClusterConfig cfg;
+  cfg.frontend_workers = 1;
+  cfg.max_batch = 1;
+  ClusterService service(cfg, std::move(fleet.clients));
+
+  const std::string& path = tlr_archive_path();
+  std::promise<void> release;
+  std::shared_future<void> gate = release.get_future().share();
+  auto blocker = make_request(path, serve::RequestKind::kLsqr, 2, 50);
+  blocker.lsqr.should_stop = [gate] {
+    gate.wait();
+    return true;
+  };
+  auto first = service.submit(std::move(blocker));
+  auto victim = service.submit(
+      make_request(path, serve::RequestKind::kLsqr, 3, 6));
+
+  EXPECT_TRUE(service.cancel(victim.request_id));  // still queued
+  EXPECT_FALSE(service.cancel(victim.request_id + 1000));  // never issued
+  release.set_value();
+  EXPECT_EQ(victim.response.get().status, ClusterStatus::kCancelled);
+  EXPECT_EQ(first.response.get().status, ClusterStatus::kOk);
+  // Answered ids are forgotten: a late cancel records and sends nothing.
+  EXPECT_FALSE(service.cancel(victim.request_id));
+  EXPECT_FALSE(service.cancel(first.request_id));
 }
 
 TEST(ClusterService, MergedSnapshotCoversFrontendAndWorkers) {

@@ -6,7 +6,9 @@
 #include "test_helpers.hpp"
 #include "tlrwse/fft/fft.hpp"
 #include "tlrwse/mdc/mdc_operator.hpp"
+#include "tlrwse/tlr/real_split.hpp"
 #include "tlrwse/tlr/tlr_matrix.hpp"
+#include "tlrwse/tlr/tlr_mvm.hpp"
 
 namespace tlrwse::mdc {
 namespace {
@@ -145,9 +147,8 @@ TEST(MdcOperator, TlrBackendMatchesDense) {
   cc.acc = 1e-6;
   std::vector<std::unique_ptr<FrequencyMvm>> kernels;
   for (const auto& k : f.ks) {
-    tlr::StackedTlr<cf32> stacks(tlr::compress_tlr(k, cc));
-    kernels.push_back(
-        std::make_unique<TlrMvm>(std::move(stacks), TlrKernel::kFused));
+    kernels.push_back(std::make_unique<TlrMvm>(
+        tlr::StackedTlr<cf32>(tlr::compress_tlr(k, cc))));
   }
   MdcOperator tlr_op(f.nt, f.bins, std::move(kernels));
 
@@ -211,9 +212,8 @@ TEST_P(MdcTileSizes, PerFrequencyTlrMatchesDense) {
   cc.acc = 1e-6;
   std::vector<std::unique_ptr<FrequencyMvm>> kernels;
   for (const auto& k : ks) {
-    tlr::StackedTlr<cf32> stacks(tlr::compress_tlr(k, cc));
-    kernels.push_back(
-        std::make_unique<TlrMvm>(std::move(stacks), TlrKernel::kFused));
+    kernels.push_back(std::make_unique<TlrMvm>(
+        tlr::StackedTlr<cf32>(tlr::compress_tlr(k, cc))));
   }
   MdcOperator tlr_op(kNt, bins, std::move(kernels));
   EXPECT_LT(rel_apply_error(tlr_op, *dense_op), 1e-3) << "nb=" << GetParam();
@@ -252,24 +252,29 @@ TEST_P(MdcTileSizes, SharedBasisMatchesDense) {
 
 INSTANTIATE_TEST_SUITE_P(TileSizes, MdcTileSizes, ::testing::Values(32, 64, 128));
 
-TEST(FrequencyMvm, TlrKernelVariantsAgree) {
+TEST(FrequencyMvm, TlrPlanMatchesReferenceKernels) {
   const auto k = tlrwse::testing::oscillatory_matrix<cf32>(30, 24, 9.0);
   tlr::CompressionConfig cc;
   cc.nb = 8;
   cc.acc = 1e-5;
-  const auto t = tlr::compress_tlr(k, cc);
+  const tlr::StackedTlr<cf32> stacks(tlr::compress_tlr(k, cc));
 
   Rng rng(13);
   const auto x = tlrwse::testing::random_vector<cf32>(rng, 24);
-  std::vector<cf32> y3(30), yf(30), yr(30);
-  TlrMvm m3(tlr::StackedTlr<cf32>(t), TlrKernel::kThreePhase);
-  TlrMvm mf(tlr::StackedTlr<cf32>(t), TlrKernel::kFused);
-  TlrMvm mr(tlr::StackedTlr<cf32>(t), TlrKernel::kRealSplit);
-  m3.apply(std::span<const cf32>(x), std::span<cf32>(y3));
-  mf.apply(std::span<const cf32>(x), std::span<cf32>(yf));
-  mr.apply(std::span<const cf32>(x), std::span<cf32>(yr));
-  EXPECT_LT(tlrwse::testing::rel_error(yf, y3), 1e-5);
-  EXPECT_LT(tlrwse::testing::rel_error(yr, y3), 1e-5);
+  std::vector<cf32> yp(30), y3(30), yf(30), yr(30);
+  const TlrMvm mvm(stacks);
+  FrequencyWorkspace ws;
+  mvm.apply(std::span<const cf32>(x), std::span<cf32>(yp), ws);
+  tlr::MvmWorkspace<cf32> ref_ws;
+  tlr::tlr_mvm_3phase(stacks, std::span<const cf32>(x), std::span<cf32>(y3),
+                      ref_ws);
+  tlr::tlr_mvm_fused(stacks, std::span<const cf32>(x), std::span<cf32>(yf),
+                     ref_ws);
+  tlr::tlr_mvm_real_split(tlr::RealSplitStacks<float>(stacks),
+                          std::span<const cf32>(x), std::span<cf32>(yr));
+  EXPECT_LT(tlrwse::testing::rel_error(yp, y3), 1e-5);
+  EXPECT_LT(tlrwse::testing::rel_error(yp, yf), 1e-5);
+  EXPECT_LT(tlrwse::testing::rel_error(yp, yr), 1e-5);
 }
 
 }  // namespace

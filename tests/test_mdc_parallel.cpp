@@ -18,7 +18,9 @@
 #include "tlrwse/la/blas.hpp"
 #include "tlrwse/mdc/mdc_operator.hpp"
 #include "tlrwse/mdd/lsqr.hpp"
+#include "tlrwse/tlr/real_split.hpp"
 #include "tlrwse/tlr/tlr_matrix.hpp"
+#include "tlrwse/tlr/tlr_mvm.hpp"
 
 // --- Counting allocator -----------------------------------------------------
 // Replaces the global scalar/array operator new to count every heap
@@ -51,7 +53,9 @@ namespace {
 
 constexpr index_t kNt = 64;  // power of two: the in-place FFT path
 
-// Kernel backends under test: dense plus the three TLR variants.
+// Kernel backends under test: dense and TLR. The three TLR entries carry
+// the names of the scalar reference kernels, but TlrMvm always runs its
+// MvmPlan, so all three build the same kernel.
 enum class Backend { kDense, kTlr3Phase, kTlrFused, kTlrRealSplit };
 
 std::unique_ptr<FrequencyMvm> make_kernel(Backend backend,
@@ -60,17 +64,8 @@ std::unique_ptr<FrequencyMvm> make_kernel(Backend backend,
   tlr::CompressionConfig cc;
   cc.nb = nb;
   cc.acc = 1e-6;
-  tlr::StackedTlr<cf32> stacks(tlr::compress_tlr(k, cc));
-  switch (backend) {
-    case Backend::kTlr3Phase:
-      return std::make_unique<TlrMvm>(std::move(stacks),
-                                      TlrKernel::kThreePhase);
-    case Backend::kTlrFused:
-      return std::make_unique<TlrMvm>(std::move(stacks), TlrKernel::kFused);
-    default:
-      return std::make_unique<TlrMvm>(std::move(stacks),
-                                      TlrKernel::kRealSplit);
-  }
+  return std::make_unique<TlrMvm>(
+      tlr::StackedTlr<cf32>(tlr::compress_tlr(k, cc)));
 }
 
 /// Randomized multi-frequency operator: ragged tile grids (ns, nr not
@@ -230,8 +225,9 @@ void expect_dot_property(const FrequencyMvm& mvm) {
   const auto y = tlrwse::testing::random_vector<cf32>(rng, mvm.rows());
   std::vector<cf32> ax(static_cast<std::size_t>(mvm.rows()));
   std::vector<cf32> aty(static_cast<std::size_t>(mvm.cols()));
-  mvm.apply(std::span<const cf32>(x), std::span<cf32>(ax));
-  mvm.apply_adjoint(std::span<const cf32>(y), std::span<cf32>(aty));
+  FrequencyWorkspace ws;
+  mvm.apply(std::span<const cf32>(x), std::span<cf32>(ax), ws);
+  mvm.apply_adjoint(std::span<const cf32>(y), std::span<cf32>(aty), ws);
   // <A x, y> == <x, A^H y> in the conj-first inner product.
   std::complex<double> lhs{}, rhs{};
   for (std::size_t i = 0; i < ax.size(); ++i) {
@@ -248,7 +244,52 @@ TEST(FrequencyMvmAdjoint, DenseSatisfiesDotProperty) {
   expect_dot_property(mvm);
 }
 
-class TlrAdjointProperty : public ::testing::TestWithParam<TlrKernel> {};
+// The scalar reference kernels the plan is held against. TlrMvm always
+// runs its compiled MvmPlan; each parametrised test below checks the plan
+// and also that the named reference kernel agrees with it.
+enum class RefKernel { kThreePhase, kFused, kRealSplit };
+
+/// Reusable scratch of every reference kernel; one instance serves
+/// whichever kernel a call names.
+struct RefWorkspace {
+  tlr::MvmWorkspace<cf32> stacked;
+  tlr::RealSplitWorkspace<float> split;
+};
+
+void reference_apply(RefKernel ref, const tlr::StackedTlr<cf32>& stacks,
+                     const tlr::RealSplitStacks<float>& split,
+                     std::span<const cf32> x, std::span<cf32> y,
+                     RefWorkspace& ws) {
+  switch (ref) {
+    case RefKernel::kThreePhase:
+      tlr::tlr_mvm_3phase(stacks, x, y, ws.stacked);
+      break;
+    case RefKernel::kFused:
+      tlr::tlr_mvm_fused(stacks, x, y, ws.stacked);
+      break;
+    case RefKernel::kRealSplit:
+      tlr::tlr_mvm_real_split(split, x, y, ws.split);
+      break;
+  }
+}
+
+/// Forward output of the plan against the reference kernel `ref`.
+void expect_plan_matches_reference(RefKernel ref,
+                                   const tlr::StackedTlr<cf32>& stacks,
+                                   const TlrMvm& mvm) {
+  Rng rng(11);
+  const auto x = tlrwse::testing::random_vector<cf32>(rng, mvm.cols());
+  std::vector<cf32> yp(static_cast<std::size_t>(mvm.rows()));
+  std::vector<cf32> yr(yp.size());
+  FrequencyWorkspace ws;
+  mvm.apply(std::span<const cf32>(x), std::span<cf32>(yp), ws);
+  RefWorkspace ref_ws;
+  reference_apply(ref, stacks, tlr::RealSplitStacks<float>(stacks),
+                  std::span<const cf32>(x), std::span<cf32>(yr), ref_ws);
+  EXPECT_LT(tlrwse::testing::rel_error(yp, yr), 1e-5);
+}
+
+class TlrAdjointProperty : public ::testing::TestWithParam<RefKernel> {};
 
 TEST_P(TlrAdjointProperty, OscillatoryRaggedGrid) {
   // 33 x 26 with nb = 7: ragged last tile row and column.
@@ -256,68 +297,92 @@ TEST_P(TlrAdjointProperty, OscillatoryRaggedGrid) {
   tlr::CompressionConfig cc;
   cc.nb = 7;
   cc.acc = 1e-6;
-  TlrMvm mvm(tlr::StackedTlr<cf32>(tlr::compress_tlr(k, cc)), GetParam());
+  const tlr::StackedTlr<cf32> stacks(tlr::compress_tlr(k, cc));
+  TlrMvm mvm(stacks);
   expect_dot_property(mvm);
+  expect_plan_matches_reference(GetParam(), stacks, mvm);
 }
 
 TEST_P(TlrAdjointProperty, ZeroRankTilesRaggedGrid) {
-  TlrMvm mvm(tlr::StackedTlr<cf32>(zero_rank_ragged_tlr()), GetParam());
+  const tlr::StackedTlr<cf32> stacks(zero_rank_ragged_tlr());
+  TlrMvm mvm(stacks);
   expect_dot_property(mvm);
+  expect_plan_matches_reference(GetParam(), stacks, mvm);
 }
 
 TEST_P(TlrAdjointProperty, ZeroRankForwardMatchesReconstruction) {
   const auto t = zero_rank_ragged_tlr();
   const auto rec = t.reconstruct();
-  TlrMvm mvm(tlr::StackedTlr<cf32>(t), GetParam());
+  const tlr::StackedTlr<cf32> stacks(t);
+  TlrMvm mvm(stacks);
   Rng rng(5);
   const auto x = tlrwse::testing::random_vector<cf32>(rng, t.cols());
-  std::vector<cf32> y(static_cast<std::size_t>(t.rows()));
-  mvm.apply(std::span<const cf32>(x), std::span<cf32>(y));
-  std::vector<cf32> ref(y.size());
+  std::vector<cf32> ref(static_cast<std::size_t>(t.rows()));
   la::gemv(rec, std::span<const cf32>(x), std::span<cf32>(ref));
+
+  std::vector<cf32> y(ref.size());
+  FrequencyWorkspace ws;
+  mvm.apply(std::span<const cf32>(x), std::span<cf32>(y), ws);
   EXPECT_LT(tlrwse::testing::rel_error(y, ref), 1e-4);
+
+  // The reference kernel must skip the rank-0 tiles just as the plan does.
+  std::vector<cf32> yk(ref.size());
+  RefWorkspace ref_ws;
+  reference_apply(GetParam(), stacks, tlr::RealSplitStacks<float>(stacks),
+                  std::span<const cf32>(x), std::span<cf32>(yk), ref_ws);
+  EXPECT_LT(tlrwse::testing::rel_error(yk, ref), 1e-4);
 }
 
+const auto kRefKernelName = [](const auto& info) {
+  switch (info.param) {
+    case RefKernel::kThreePhase: return "ThreePhase";
+    case RefKernel::kFused: return "Fused";
+    default: return "RealSplit";
+  }
+};
+
 INSTANTIATE_TEST_SUITE_P(Kernels, TlrAdjointProperty,
-                         ::testing::Values(TlrKernel::kThreePhase,
-                                           TlrKernel::kFused,
-                                           TlrKernel::kRealSplit),
-                         [](const auto& info) {
-                           switch (info.param) {
-                             case TlrKernel::kThreePhase: return "ThreePhase";
-                             case TlrKernel::kFused: return "Fused";
-                             default: return "RealSplit";
-                           }
-                         });
+                         ::testing::Values(RefKernel::kThreePhase,
+                                           RefKernel::kFused,
+                                           RefKernel::kRealSplit),
+                         kRefKernelName);
 
 // --- Workspace reuse --------------------------------------------------------
 
-class WorkspaceReuse : public ::testing::TestWithParam<TlrKernel> {};
+class WorkspaceReuse : public ::testing::TestWithParam<RefKernel> {};
 
 TEST_P(WorkspaceReuse, PooledWorkspaceIsBitwiseIdenticalToFresh) {
   const auto k = tlrwse::testing::oscillatory_matrix<cf32>(41, 29, 10.0);
   tlr::CompressionConfig cc;
   cc.nb = 9;
   cc.acc = 1e-6;
-  TlrMvm mvm(tlr::StackedTlr<cf32>(tlr::compress_tlr(k, cc)), GetParam());
+  const tlr::StackedTlr<cf32> stacks(tlr::compress_tlr(k, cc));
+  const tlr::RealSplitStacks<float> split(stacks);
+  TlrMvm mvm(stacks);
   Rng rng(31);
   const auto x1 = tlrwse::testing::random_vector<cf32>(rng, 29);
   const auto x2 = tlrwse::testing::random_vector<cf32>(rng, 29);
   const auto ya = tlrwse::testing::random_vector<cf32>(rng, 41);
 
   // Reference: every call through its own fresh workspace.
-  std::vector<cf32> ref1(41), ref2(41), ref_adj(29);
+  std::vector<cf32> ref1(41), ref2(41), ref_adj(29), kref1(41), kref2(41);
   {
     FrequencyWorkspace fresh1, fresh2, fresh3;
     mvm.apply(std::span<const cf32>(x1), std::span<cf32>(ref1), fresh1);
     mvm.apply(std::span<const cf32>(x2), std::span<cf32>(ref2), fresh2);
     mvm.apply_adjoint(std::span<const cf32>(ya), std::span<cf32>(ref_adj),
                       fresh3);
+    RefWorkspace kfresh1, kfresh2;
+    reference_apply(GetParam(), stacks, split, std::span<const cf32>(x1),
+                    std::span<cf32>(kref1), kfresh1);
+    reference_apply(GetParam(), stacks, split, std::span<const cf32>(x2),
+                    std::span<cf32>(kref2), kfresh2);
   }
 
   // One shared workspace, interleaved calls (stale yv/yu state from a
   // previous apply must never leak into the next result).
   FrequencyWorkspace ws;
+  RefWorkspace kws;
   std::vector<cf32> y(41), adj(29);
   for (int rep = 0; rep < 3; ++rep) {
     mvm.apply(std::span<const cf32>(x1), std::span<cf32>(y), ws);
@@ -332,41 +397,26 @@ TEST_P(WorkspaceReuse, PooledWorkspaceIsBitwiseIdenticalToFresh) {
     for (std::size_t i = 0; i < y.size(); ++i) {
       ASSERT_EQ(y[i], ref2[i]) << "rep " << rep << " elem " << i;
     }
+
+    // The reference kernel's own workspace reused the same way.
+    reference_apply(GetParam(), stacks, split, std::span<const cf32>(x1),
+                    std::span<cf32>(y), kws);
+    for (std::size_t i = 0; i < y.size(); ++i) {
+      ASSERT_EQ(y[i], kref1[i]) << "ref rep " << rep << " elem " << i;
+    }
+    reference_apply(GetParam(), stacks, split, std::span<const cf32>(x2),
+                    std::span<cf32>(y), kws);
+    for (std::size_t i = 0; i < y.size(); ++i) {
+      ASSERT_EQ(y[i], kref2[i]) << "ref rep " << rep << " elem " << i;
+    }
   }
 }
 
-TEST_P(WorkspaceReuse, LegacySignatureRoutesThroughPool) {
-  const auto k = tlrwse::testing::oscillatory_matrix<cf32>(24, 18, 6.0);
-  tlr::CompressionConfig cc;
-  cc.nb = 6;
-  cc.acc = 1e-6;
-  TlrMvm mvm(tlr::StackedTlr<cf32>(tlr::compress_tlr(k, cc)), GetParam());
-  Rng rng(37);
-  const auto x = tlrwse::testing::random_vector<cf32>(rng, 18);
-  std::vector<cf32> y1(24), y2(24);
-  mvm.apply(std::span<const cf32>(x), std::span<cf32>(y1));
-  EXPECT_GE(mvm.pooled_workspaces(), 1u);
-  mvm.apply(std::span<const cf32>(x), std::span<cf32>(y2));
-  for (std::size_t i = 0; i < y1.size(); ++i) EXPECT_EQ(y1[i], y2[i]);
-  // Adjoint through the pool as well (the old code allocated here).
-  std::vector<cf32> a1(18), a2(18);
-  const auto ya = tlrwse::testing::random_vector<cf32>(rng, 24);
-  mvm.apply_adjoint(std::span<const cf32>(ya), std::span<cf32>(a1));
-  mvm.apply_adjoint(std::span<const cf32>(ya), std::span<cf32>(a2));
-  for (std::size_t i = 0; i < a1.size(); ++i) EXPECT_EQ(a1[i], a2[i]);
-}
-
 INSTANTIATE_TEST_SUITE_P(Kernels, WorkspaceReuse,
-                         ::testing::Values(TlrKernel::kThreePhase,
-                                           TlrKernel::kFused,
-                                           TlrKernel::kRealSplit),
-                         [](const auto& info) {
-                           switch (info.param) {
-                             case TlrKernel::kThreePhase: return "ThreePhase";
-                             case TlrKernel::kFused: return "Fused";
-                             default: return "RealSplit";
-                           }
-                         });
+                         ::testing::Values(RefKernel::kThreePhase,
+                                           RefKernel::kFused,
+                                           RefKernel::kRealSplit),
+                         kRefKernelName);
 
 // --- Zero steady-state allocations ------------------------------------------
 

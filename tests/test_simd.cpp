@@ -489,15 +489,21 @@ TEST(MvmPlan, ShuffleProgramMergesAdjacentTiles) {
 
 // --------------------------------------------------- MdcOperator batch --
 
+constexpr index_t kMdcNt = 64;
+const std::vector<index_t> kMdcBins = {3, 7, 12};
+
+std::vector<la::MatrixCF> mdc_kernels() {
+  std::vector<la::MatrixCF> ks;
+  for (std::size_t q = 0; q < kMdcBins.size(); ++q) {
+    ks.push_back(tlrwse::testing::oscillatory_matrix<cf32>(
+        20, 16, 5.0 + static_cast<double>(q)));
+  }
+  return ks;
+}
+
 std::unique_ptr<mdc::MdcOperator> make_mdc(bool dense_backend) {
-  const index_t nt = 64;
-  const index_t ns = 20;
-  const index_t nr = 16;
-  std::vector<index_t> bins = {3, 7, 12};
   std::vector<std::unique_ptr<mdc::FrequencyMvm>> kernels;
-  for (std::size_t q = 0; q < bins.size(); ++q) {
-    auto K = tlrwse::testing::oscillatory_matrix<cf32>(
-        ns, nr, 5.0 + static_cast<double>(q));
+  for (auto& K : mdc_kernels()) {
     if (dense_backend) {
       kernels.push_back(std::make_unique<mdc::DenseMvm>(std::move(K)));
     } else {
@@ -505,18 +511,29 @@ std::unique_ptr<mdc::MdcOperator> make_mdc(bool dense_backend) {
       cfg.nb = 8;
       cfg.acc = 1e-5;
       kernels.push_back(std::make_unique<mdc::TlrMvm>(
-          tlr::StackedTlr<cf32>(tlr::compress_tlr(K, cfg)),
-          mdc::TlrKernel::kThreePhase));
+          tlr::StackedTlr<cf32>(tlr::compress_tlr(K, cfg))));
     }
   }
-  return std::make_unique<mdc::MdcOperator>(nt, std::move(bins),
+  return std::make_unique<mdc::MdcOperator>(kMdcNt, kMdcBins,
                                             std::move(kernels));
 }
 
-class MdcBatch : public ::testing::TestWithParam<bool> {};
+std::unique_ptr<mdc::MdcOperator> make_shared_basis_mdc() {
+  const auto ks = mdc_kernels();
+  tlr::SharedBasisConfig cfg;
+  cfg.nb = 8;
+  cfg.acc = 1e-5;
+  return std::make_unique<mdc::MdcOperator>(
+      kMdcNt, kMdcBins,
+      mdc::make_shared_basis_kernels(
+          std::make_shared<const tlr::SharedBasisStackedTlr<cf32>>(
+              tlr::SharedBasisStackedTlr<cf32>::fit(
+                  std::span<const la::MatrixCF>(ks), cfg))));
+}
 
-TEST_P(MdcBatch, BatchedApplyIsBitwiseEqualToSingles) {
-  const auto op = make_mdc(GetParam());
+/// Every RHS column of apply_batch / apply_adjoint_batch must equal the
+/// single apply / apply_adjoint of that column bitwise.
+void expect_batch_equals_singles(const mdc::MdcOperator* op) {
   constexpr index_t kRhs = 3;
   Rng rng(7);
   const auto X = random_floats(
@@ -551,6 +568,16 @@ TEST_P(MdcBatch, BatchedApplyIsBitwiseEqualToSingles) {
           << "adjoint rhs " << r << " sample " << i;
     }
   }
+}
+
+class MdcBatch : public ::testing::TestWithParam<bool> {};
+
+TEST_P(MdcBatch, BatchedApplyIsBitwiseEqualToSingles) {
+  expect_batch_equals_singles(make_mdc(GetParam()).get());
+}
+
+TEST(MdcBatchSharedBasis, BatchedApplyIsBitwiseEqualToSingles) {
+  expect_batch_equals_singles(make_shared_basis_mdc().get());
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, MdcBatch, ::testing::Bool(),

@@ -12,7 +12,8 @@ Commands:
       Appends the run to DIR/BENCH_<name>.json (default DIR: cwd),
       creating the history file on first use. The run's header metadata
       (git sha, compiler, threads) and a UTC timestamp are stored with
-      every entry.
+      every entry. A run whose git sha reads "unknown" gets
+      $TLRWSE_GIT_SHA, else `git rev-parse HEAD` of this checkout.
   show HISTORY_FILE [--metric KEY]
       Prints one line per recorded run: timestamp, git sha, and either
       the row count or — with --metric — each row's value of KEY.
@@ -24,6 +25,7 @@ import argparse
 import datetime
 import json
 import os
+import subprocess
 import sys
 
 
@@ -52,8 +54,30 @@ def load_history(path, bench):
     return doc
 
 
+def resolve_git_sha(sha):
+    """Replaces an "unknown" sha with $TLRWSE_GIT_SHA or this checkout's HEAD."""
+    if sha not in (None, "", "unknown"):
+        return sha
+    env = os.environ.get("TLRWSE_GIT_SHA")
+    if env:
+        return env
+    try:
+        out = subprocess.run(
+            ["git", "rev-parse", "HEAD"],
+            cwd=os.path.dirname(os.path.abspath(__file__)),
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
+    return out.stdout.strip() or "unknown"
+
+
 def cmd_append(args):
     header, data = read_run(args.run_file)
+    meta = header.setdefault("meta", {})
+    meta["git_sha"] = resolve_git_sha(meta.get("git_sha"))
     bench = header["bench"]
     path = history_path(args.dir, bench)
     doc = load_history(path, bench)
@@ -62,7 +86,7 @@ def cmd_append(args):
             "recorded_utc": datetime.datetime.now(datetime.timezone.utc)
             .replace(microsecond=0)
             .isoformat(),
-            "meta": header.get("meta", {}),
+            "meta": meta,
             "header": header,
             "data": data,
         }

@@ -5,7 +5,7 @@
 //   tlrwse_cli compress --in K.bin --out K.tlr [--nb 24] [--acc 1e-4]
 //                       [--backend svd|rrqr|rsvd|aca]
 //   tlrwse_cli info     --in K.tlr
-//   tlrwse_cli mvm      --in K.tlr [--kernel fused|3phase|realsplit]
+//   tlrwse_cli mvm      --in K.tlr [--reps 50]   (times the compiled MvmPlan)
 //   tlrwse_cli simulate [--nb 70] [--acc 1e-4] [--sw 23] [--strategy 1|2]
 //                       [--systems 6]
 //   tlrwse_cli mdd      [--nb 24] [--acc 1e-4] [--iters 30]
@@ -103,8 +103,8 @@
 #include "tlrwse/seismic/modeling.hpp"
 #include "tlrwse/seismic/rank_model.hpp"
 #include "tlrwse/serve/solve_service.hpp"
+#include "tlrwse/tlr/mvm_plan.hpp"
 #include "tlrwse/tlr/stacked.hpp"
-#include "tlrwse/tlr/tlr_mvm.hpp"
 #include "tlrwse/wse/machine.hpp"
 
 namespace {
@@ -318,35 +318,20 @@ int cmd_mvm(const Args& args) {
     return 1;
   }
   const auto m = io::load_tlr(in);
-  tlr::StackedTlr<cf32> stacks(m);
+  const tlr::MvmPlan plan{tlr::StackedTlr<cf32>(m)};
   Rng rng(args.integer("seed", 1));
   std::vector<cf32> x(static_cast<std::size_t>(m.cols()));
   fill_normal(rng, x.data(), x.size());
 
-  const std::string kernel = args.get("kernel", "fused");
   const int reps = static_cast<int>(args.integer("reps", 50));
   std::vector<cf32> y(static_cast<std::size_t>(m.rows()));
-  tlr::MvmWorkspace<cf32> ws;
-  std::unique_ptr<tlr::RealSplitStacks<float>> split;
-  if (kernel == "realsplit") {
-    split = std::make_unique<tlr::RealSplitStacks<float>>(stacks);
-  }
+  tlr::PlanWorkspace ws;
   WallTimer t;
   for (int r = 0; r < reps; ++r) {
-    if (kernel == "3phase") {
-      tlr::tlr_mvm_3phase(stacks, std::span<const cf32>(x), std::span<cf32>(y),
-                          ws);
-    } else if (kernel == "realsplit") {
-      tlr::tlr_mvm_real_split(*split, std::span<const cf32>(x),
-                              std::span<cf32>(y));
-    } else {
-      tlr::tlr_mvm_fused(stacks, std::span<const cf32>(x), std::span<cf32>(y),
-                         ws);
-    }
+    plan.apply(std::span<const cf32>(x), std::span<cf32>(y), ws);
   }
   const double ms = t.millis() / reps;
-  std::printf("%s TLR-MVM: %.3f ms/apply, effective bandwidth %s\n",
-              kernel.c_str(), ms,
+  std::printf("plan TLR-MVM: %.3f ms/apply, effective bandwidth %s\n", ms,
               format_bandwidth(m.compressed_bytes() / (ms * 1e-3)).c_str());
   return 0;
 }
@@ -404,8 +389,7 @@ int cmd_mdd(const Args& args) {
   TLRWSE_TRACE_SPAN("cli.mdd", "cli");
   const auto data = seismic::build_dataset(dataset_config(args));
   const auto cc = compression_config(args);
-  const auto op =
-      mdd::make_mdc_operator(data, mdd::KernelBackend::kTlrFused, cc);
+  const auto op = mdd::make_mdc_operator(data, mdd::KernelBackend::kTlr, cc);
   const index_t v = args.integer("vsrc", data.num_receivers() / 2);
   const auto rhs = mdd::virtual_source_rhs(data, v);
   const auto truth = mdd::true_reflectivity_traces(data, v);
@@ -450,7 +434,6 @@ int cmd_solve(const Args& args) {
   const bool stream_verify = args.integer("stream-verify", 0) != 0;
   std::unique_ptr<mdc::MdcOperator> op;
   std::shared_ptr<oocache::ShardStreamer> streamer;
-  bool shared_basis = false;
   if (stream_mb > 0.0) {
     // Out-of-core: kernels stream disk->RAM under the byte budget while
     // the solve runs, grown to the plan's double-buffer window when the
@@ -461,7 +444,6 @@ int cmd_solve(const Args& args) {
     auto streamed = oocache::make_streamed_operator(path, scfg);
     op = std::move(streamed.op);
     streamer = streamed.streamer;
-    shared_basis = streamed.info.shared_basis;
     std::printf("streaming %s: %.1f MiB payload in %lld shard(s), budget "
                 "%.1f MiB (window %.1f MiB)\n",
                 path.c_str(), streamed.info.payload_bytes / (1024.0 * 1024.0),
@@ -469,8 +451,7 @@ int cmd_solve(const Args& args) {
                 streamer->budget_bytes() / (1024.0 * 1024.0),
                 streamer->plan().window_bytes() / (1024.0 * 1024.0));
   } else {
-    const auto archive = io::load_archive(path);
-    op = io::make_operator(archive);
+    op = io::load_operator(path);
   }
   // The observed data still comes from the (re-modelled) survey; in a real
   // deployment it would be loaded from disk alongside the archive.
@@ -503,9 +484,7 @@ int cmd_solve(const Args& args) {
   if (stream_verify && streamer != nullptr) {
     // Ground truth: the same solve with every kernel resident. Streaming
     // must change residency timing only, never a single bit of the result.
-    std::unique_ptr<mdc::MdcOperator> resident =
-        shared_basis ? io::make_operator(io::load_shared_archive(path))
-                     : io::make_operator(io::load_archive(path));
+    const auto resident = io::load_operator(path);
     const auto ref = mdd::solve_mdd(*resident, rhs, lsqr);
     const bool bitwise =
         ref.x.size() == sol.x.size() &&
@@ -734,8 +713,7 @@ int cmd_serve(const Args& args) {
     if (verify) {
       // Sequential reference on a fresh operator instance: the service
       // must be bitwise identical per virtual source.
-      const auto archive = io::load_archive(path);
-      const auto op = io::make_operator(archive);
+      const auto op = io::load_operator(path);
       TLRWSE_REQUIRE(op->num_receivers() == nr &&
                          op->num_sources() == data.num_sources(),
                      "archive does not match the survey geometry flags");
@@ -1050,9 +1028,7 @@ int cmd_cluster(const Args& args) {
   if (verify && rc == 0) {
     // Single-process reference on a fresh operator: distributed solves
     // must be bitwise identical per virtual source.
-    const auto op = info.shared_basis
-                        ? io::make_operator(io::load_shared_archive(path))
-                        : io::make_operator(io::load_archive(path));
+    const auto op = io::load_operator(path);
     std::map<index_t, std::vector<float>> reference;
     int mismatched = 0;
     for (const auto& r : responses) {
