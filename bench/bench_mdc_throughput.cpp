@@ -1,12 +1,14 @@
 // MDC apply/apply_adjoint throughput across an OpenMP thread sweep.
 //
 // The per-frequency kernel loop in MdcOperator is embarrassingly parallel
-// (each frequency owns its own rFFT bin) and, with the pooled workspaces,
+// (each frequency owns its own band entry) and, with the pooled workspaces,
 // allocation-free in steady state — so applies should scale with threads
-// until the batched FFTs dominate. This bench builds a 64-frequency TLR
+// until the band transforms dominate. This bench builds a 64-frequency TLR
 // operator, sweeps OMP thread counts and reports applies/s plus the speedup
-// over the single-thread baseline, as JSON (one object per line) for the
-// scaling plot. Usage:
+// over the single-thread baseline, and per apply pair the transform time
+// (fft_s) and the kernel-loop time (kernel_loop_s) read from the operator's
+// own mdc.* histograms, as JSON (one object per line) for the scaling
+// plot. Usage:
 //
 //   OMP_NUM_THREADS is ignored; the sweep sets thread counts explicitly.
 //   ./bench_mdc_throughput [max_threads]
@@ -26,13 +28,14 @@
 #include "tlrwse/common/rng.hpp"
 #include "tlrwse/common/timer.hpp"
 #include "tlrwse/mdc/mdc_operator.hpp"
+#include "tlrwse/obs/metrics_registry.hpp"
 #include "tlrwse/tlr/tlr_matrix.hpp"
 
 namespace {
 
 using namespace tlrwse;
 
-constexpr index_t kNt = 256;   // power of two: in-place FFT path
+constexpr index_t kNt = 256;
 constexpr index_t kNumFreq = 64;
 constexpr index_t kNs = 96;
 constexpr index_t kNr = 96;
@@ -78,11 +81,23 @@ std::unique_ptr<mdc::MdcOperator> build_operator() {
                                             std::move(kernels));
 }
 
-/// Times `reps` forward+adjoint pairs at a given thread count; returns
-/// seconds per pair (best of three trials to shed scheduler noise).
-double time_pair(const mdc::MdcOperator& op, std::span<const float> x,
-                 std::span<float> y, std::span<const float> yb,
-                 std::span<float> xt, int threads, int reps) {
+double hist_sum(const char* name) {
+  return obs::MetricsRegistry::instance().histogram(name).snapshot().sum;
+}
+
+/// Seconds per forward+adjoint pair, and the transform and kernel-loop
+/// shares of it.
+struct PairTiming {
+  double sec = 1e300;
+  double fft_s = 0.0;
+  double kernel_loop_s = 0.0;
+};
+
+/// Times `reps` forward+adjoint pairs at a given thread count; the best of
+/// three trials, to shed scheduler noise.
+PairTiming time_pair(const mdc::MdcOperator& op, std::span<const float> x,
+                     std::span<float> y, std::span<const float> yb,
+                     std::span<float> xt, int threads, int reps) {
 #ifdef _OPENMP
   omp_set_num_threads(threads);
 #else
@@ -91,14 +106,20 @@ double time_pair(const mdc::MdcOperator& op, std::span<const float> x,
   // Warm-up fills the per-thread workspace pools at this team size.
   op.apply(x, y);
   op.apply_adjoint(yb, xt);
-  double best = 1e300;
+  PairTiming best;
   for (int trial = 0; trial < 3; ++trial) {
+    const double fft0 = hist_sum("mdc.fft_s");
+    const double ker0 = hist_sum("mdc.kernel_loop_s");
     WallTimer timer;
     for (int r = 0; r < reps; ++r) {
       op.apply(x, y);
       op.apply_adjoint(yb, xt);
     }
-    best = std::min(best, timer.seconds() / reps);
+    const double sec = timer.seconds() / reps;
+    if (sec < best.sec) {
+      best = {sec, (hist_sum("mdc.fft_s") - fft0) / reps,
+              (hist_sum("mdc.kernel_loop_s") - ker0) / reps};
+    }
   }
   return best;
 }
@@ -125,18 +146,20 @@ int main(int argc, char** argv) {
   if (sweep.back() != max_threads) sweep.push_back(max_threads);
 
   const int reps = 10;
-  const double t1 = time_pair(*op, x, y, yb, xt, 1, reps);
+  const PairTiming t1 = time_pair(*op, x, y, yb, xt, 1, reps);
 
   std::cout << "{\"bench\":\"mdc_throughput\",\"nt\":" << kNt
             << ",\"num_freq\":" << kNumFreq << ",\"ns\":" << kNs
             << ",\"nr\":" << kNr << ",\"kernel\":\"tlr_fused\","
             << bench::json_meta_fields() << "}\n";
   for (int t : sweep) {
-    const double sec = (t == 1) ? t1 : time_pair(*op, x, y, yb, xt, t, reps);
+    const PairTiming p = (t == 1) ? t1 : time_pair(*op, x, y, yb, xt, t, reps);
+    const double sec = p.sec;
     std::cout << "{\"threads\":" << t << ",\"sec_per_apply_pair\":" << sec
               << ",\"applies_per_sec\":" << (sec > 0.0 ? 2.0 / sec : 0.0)
-              << ",\"speedup_vs_1\":" << (sec > 0.0 ? t1 / sec : 0.0)
-              << "}\n";
+              << ",\"speedup_vs_1\":" << (sec > 0.0 ? t1.sec / sec : 0.0)
+              << ",\"fft_s\":" << p.fft_s
+              << ",\"kernel_loop_s\":" << p.kernel_loop_s << "}\n";
   }
   return 0;
 }

@@ -37,7 +37,7 @@
 #include "tlrwse/cluster/shard_planner.hpp"
 #include "tlrwse/cluster/transport.hpp"
 #include "tlrwse/cluster/wire.hpp"
-#include "tlrwse/fft/fft.hpp"
+#include "tlrwse/fft/band_dft.hpp"
 #include "tlrwse/mdc/linear_operator.hpp"
 #include "tlrwse/mdd/lsqr.hpp"
 #include "tlrwse/obs/metrics_registry.hpp"
@@ -171,10 +171,11 @@ struct RequestTrace {
   std::uint64_t next_span_id_ = 1;
 };
 
-/// The MDC operator y = F^H K F x with the K stage executed remotely:
-/// rFFT locally, gather each shard's per-frequency slices, exchange with a
-/// live replica, scatter the replies into the zero-initialised spectrum
-/// (shards own disjoint bins), inverse rFFT locally. One instance per
+/// The MDC operator y = F^H K F x with the K stage executed remotely: the
+/// band DFT locally over the placement's bins (in shard order), gather
+/// each shard's per-frequency slices from the band page, exchange with a
+/// live replica, scatter the replies into the output band page (shards own
+/// disjoint band entries), inverse band DFT locally. One instance per
 /// request; the placement and fleet are shared.
 class RemoteMdcOperator final : public mdc::LinearOperator {
  public:
@@ -229,10 +230,9 @@ class RemoteMdcOperator final : public mdc::LinearOperator {
   std::function<bool()> cancelled_;
   std::function<void(std::size_t)> on_worker_death_;
   RequestTrace* rt_ = nullptr;  // not owned; may be null
-  fft::FftPlan plan_;
+  fft::BandDft dft_;
   mutable std::mutex scratch_mu_;
-  mutable std::vector<cf32> in_spec_, out_spec_;
-  mutable fft::BatchWorkspace fft_ws_;
+  mutable std::vector<cf32> in_band_, out_band_;
 };
 
 enum class ClusterStatus {

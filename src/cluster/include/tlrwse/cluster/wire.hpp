@@ -134,8 +134,10 @@ class WireReader {
     pos_ += n;
     return s;
   }
-  /// Reads exactly `count` complex values into `out`.
+  /// Reads exactly `count` complex values into `out`. An empty span may
+  /// carry a null data pointer, which memcpy must never see.
   void cf32_into(std::span<cf32> out) {
+    if (out.empty()) return;
     need(out.size() * sizeof(cf32));
     std::memcpy(out.data(), bytes_.data() + pos_,
                 out.size() * sizeof(cf32));

@@ -60,6 +60,20 @@ LoadShardOkMsg parse_load_reply(const Frame& reply) {
                       std::to_string(reply.type));
 }
 
+/// The frontend's transform: the band DFT over every shard's bins in shard
+/// order, which for a sharded placement is the archive's frequency order —
+/// the same band, in the same order, as the single-process MdcOperator, so
+/// both transforms produce the same bits.
+fft::BandDft placement_band(const Placement* pl) {
+  TLRWSE_REQUIRE(pl != nullptr, "RemoteMdcOperator: null placement");
+  TLRWSE_REQUIRE(!pl->shards.empty(), "RemoteMdcOperator: empty placement");
+  std::vector<index_t> bins;
+  for (const ShardAssignment& shard : pl->shards) {
+    bins.insert(bins.end(), shard.freq_bins.begin(), shard.freq_bins.end());
+  }
+  return fft::BandDft(pl->nt, bins);
+}
+
 }  // namespace
 
 // --- WorkerClient ---------------------------------------------------------
@@ -166,11 +180,7 @@ RemoteMdcOperator::RemoteMdcOperator(
       cancelled_(std::move(cancelled)),
       on_worker_death_(std::move(on_worker_death)),
       rt_(rt),
-      plan_(placement_ != nullptr && placement_->nt >= 1 ? placement_->nt
-                                                         : 1) {
-  TLRWSE_REQUIRE(placement_ != nullptr, "RemoteMdcOperator: null placement");
-  TLRWSE_REQUIRE(!placement_->shards.empty(),
-                 "RemoteMdcOperator: empty placement");
+      dft_(placement_band(placement_.get())) {
   if (rt_ != nullptr) rt_->clock_samples.resize(fleet_.size());
 }
 
@@ -260,7 +270,7 @@ void RemoteMdcOperator::run(std::span<const float> in, std::span<float> out,
                             index_t nrhs, bool adjoint) const {
   const Placement& pl = *placement_;
   const index_t nt = pl.nt;
-  const index_t nf_full = nt / 2 + 1;
+  const index_t ldq = dft_.ldq();
   const index_t in_traces = adjoint ? pl.ns : pl.nr;
   const index_t out_traces = adjoint ? pl.nr : pl.ns;
   TLRWSE_REQUIRE(nrhs >= 1, "RemoteMdcOperator: nrhs");
@@ -274,24 +284,16 @@ void RemoteMdcOperator::run(std::span<const float> in, std::span<float> out,
   // sequentially); the instance-level scratch mirrors MdcOperator's
   // per-thread PageScratch.
   std::lock_guard<std::mutex> lock(scratch_mu_);
-  const index_t in_page = nf_full * in_traces;
-  const index_t out_page = nf_full * out_traces;
 
   const bool sampled = rt_ != nullptr && rt_->ctx.sampled;
   const std::uint64_t run_span = sampled ? rt_->new_span_id() : 0;
   const std::uint64_t run_start = rt_ != nullptr ? obs::steady_now_ns() : 0;
 
-  // F: local rFFT per RHS — identical to MdcOperator's forward stage.
-  in_spec_.resize(static_cast<std::size_t>(in_page * nrhs));
-  for (index_t r = 0; r < nrhs; ++r) {
-    fft::rfft_batch(plan_,
-                    in.subspan(static_cast<std::size_t>(r * nt * in_traces),
-                               static_cast<std::size_t>(nt * in_traces)),
-                    in_traces,
-                    std::span<cf32>(in_spec_.data() + r * in_page,
-                                    static_cast<std::size_t>(in_page)),
-                    fft_ws_);
-  }
+  // F: local band DFT of every RHS — identical to MdcOperator's forward
+  // stage.
+  in_band_.resize(static_cast<std::size_t>(ldq * in_traces * nrhs));
+  out_band_.resize(static_cast<std::size_t>(ldq * out_traces * nrhs));
+  dft_.forward(in, in_traces * nrhs, in_band_, /*team=*/0);
   std::uint64_t mark = 0;
   if (rt_ != nullptr) {
     mark = obs::steady_now_ns();
@@ -304,13 +306,15 @@ void RemoteMdcOperator::run(std::span<const float> in, std::span<float> out,
 
   // K (remote): gather each shard's per-frequency panels and fan out. The
   // gather formulas match MdcOperator's kernel loop exactly, so workers
-  // see the same bytes a local FreqScratch would.
+  // see the same bytes a local FreqScratch would. Shard s owns the band
+  // entries [off, off + nq) in shard order.
   const std::size_t nshards = pl.shards.size();
   std::vector<ApplyMsg> msgs(nshards);
   /// Per-shard RPC span ids; the worker parents its apply span under the
   /// shard's RPC span, so the merged timeline nests correctly.
   std::vector<std::uint64_t> rpc_spans(nshards, 0);
-  const std::span<const cf32> spec(in_spec_);
+  const std::span<const cf32> in_band(in_band_);
+  index_t off = 0;
   for (std::size_t s = 0; s < nshards; ++s) {
     const ShardAssignment& shard = pl.shards[s];
     ApplyMsg& msg = msgs[s];
@@ -328,15 +332,12 @@ void RemoteMdcOperator::run(std::span<const float> in, std::span<float> out,
     const auto nq = static_cast<index_t>(shard.freq_bins.size());
     msg.data.resize(static_cast<std::size_t>(nq * nrhs * in_traces));
     for (index_t q = 0; q < nq; ++q) {
-      const index_t bin = shard.freq_bins[static_cast<std::size_t>(q)];
-      for (index_t r = 0; r < nrhs; ++r) {
-        cf32* dst = msg.data.data() + (q * nrhs + r) * in_traces;
-        for (index_t t = 0; t < in_traces; ++t) {
-          dst[t] = spec[static_cast<std::size_t>(r * in_page + t * nf_full +
-                                                 bin)];
-        }
+      cf32* dst = msg.data.data() + q * nrhs * in_traces;
+      for (index_t i = 0; i < nrhs * in_traces; ++i) {
+        dst[i] = in_band[static_cast<std::size_t>(i * ldq + off + q)];
       }
     }
+    off += nq;
   }
   if (rt_ != nullptr) {
     const std::uint64_t now = obs::steady_now_ns();
@@ -369,9 +370,9 @@ void RemoteMdcOperator::run(std::span<const float> in, std::span<float> out,
     }
   }
 
-  out_spec_.assign(static_cast<std::size_t>(out_page * nrhs), cf32{});
-  const std::span<cf32> out_span(out_spec_);
+  const std::span<cf32> out_band(out_band_);
   double scatter_s = 0.0;
+  off = 0;
   for (std::size_t s = 0; s < nshards; ++s) {
     const ShardAssignment& shard = pl.shards[s];
     ApplyOkMsg ok;
@@ -402,20 +403,17 @@ void RemoteMdcOperator::run(std::span<const float> in, std::span<float> out,
       throw WorkerFailure("shard " + std::to_string(shard.shard_id) +
                           " returned a malformed apply result");
     }
-    // Scatter into the zero-initialised spectrum; shards own disjoint
-    // bins, so writes never overlap.
+    // Scatter into the output band page; shards own disjoint band
+    // entries, and together every live one, so writes never overlap.
     const std::uint64_t scatter_start =
         rt_ != nullptr ? obs::steady_now_ns() : 0;
     for (index_t q = 0; q < nq; ++q) {
-      const index_t bin = shard.freq_bins[static_cast<std::size_t>(q)];
-      for (index_t r = 0; r < nrhs; ++r) {
-        const cf32* src = ok.data.data() + (q * nrhs + r) * out_traces;
-        for (index_t t = 0; t < out_traces; ++t) {
-          out_span[static_cast<std::size_t>(r * out_page + t * nf_full +
-                                            bin)] = src[t];
-        }
+      const cf32* src = ok.data.data() + q * nrhs * out_traces;
+      for (index_t o = 0; o < nrhs * out_traces; ++o) {
+        out_band[static_cast<std::size_t>(o * ldq + off + q)] = src[o];
       }
     }
+    off += nq;
     if (rt_ != nullptr) {
       scatter_s +=
           1e-9 * static_cast<double>(obs::steady_now_ns() - scatter_start);
@@ -423,17 +421,9 @@ void RemoteMdcOperator::run(std::span<const float> in, std::span<float> out,
   }
   if (rt_ != nullptr) rt_->stages.gather_scatter_s += scatter_s;
 
-  // F^H: local inverse rFFT per RHS.
+  // F^H: local inverse band DFT of every RHS.
   const std::uint64_t ifft_start = rt_ != nullptr ? obs::steady_now_ns() : 0;
-  for (index_t r = 0; r < nrhs; ++r) {
-    fft::irfft_batch(plan_,
-                     std::span<const cf32>(out_spec_.data() + r * out_page,
-                                           static_cast<std::size_t>(out_page)),
-                     out_traces,
-                     out.subspan(static_cast<std::size_t>(r * nt * out_traces),
-                                 static_cast<std::size_t>(nt * out_traces)),
-                     fft_ws_);
-  }
+  dft_.inverse(out_band_, out_traces * nrhs, out, /*team=*/0);
   if (rt_ != nullptr) {
     const std::uint64_t now = obs::steady_now_ns();
     rt_->stages.fft_s += 1e-9 * static_cast<double>(now - ifft_start);
@@ -847,12 +837,13 @@ void ClusterService::solve_ticket(
     root_span = rt.new_span_id();
     rt.ctx.parent_span_id = root_span;
   }
-  RemoteMdcOperator op(
-      fleet_, placement, id, deadline_at,
-      [this, id] { return is_cancelled(id); },
-      [this](std::size_t w) { note_worker_death(w); }, &rt);
-
   try {
+    // Inside the try: the band transform validates the worker-reported
+    // bins of the placement, and a bad one is a typed kError.
+    RemoteMdcOperator op(
+        fleet_, placement, id, deadline_at,
+        [this, id] { return is_cancelled(id); },
+        [this](std::size_t w) { note_worker_death(w); }, &rt);
     if (ticket.req.kind == serve::RequestKind::kAdjoint) {
       resp.x.resize(static_cast<std::size_t>(cols));
       op.apply_adjoint(ticket.req.rhs, resp.x);

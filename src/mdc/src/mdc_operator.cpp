@@ -78,15 +78,12 @@ MdcOperator::MdcOperator(index_t nt, std::vector<index_t> freq_bins,
 
 MdcOperator::MdcOperator(index_t nt, std::vector<index_t> freq_bins,
                          std::shared_ptr<KernelStream> stream)
-    : nt_(nt),
-      freq_bins_(std::move(freq_bins)),
-      stream_(std::move(stream)),
-      plan_(nt >= 1 ? nt : 1) {
+    : nt_(nt), stream_(std::move(stream)), dft_(nt, freq_bins) {
   TLRWSE_REQUIRE(nt_ >= 4, "nt too small");
   TLRWSE_REQUIRE(stream_ != nullptr, "null kernel stream");
   nq_ = stream_->num_freqs();
   TLRWSE_REQUIRE(nq_ >= 1, "need at least one frequency kernel");
-  TLRWSE_REQUIRE(static_cast<index_t>(freq_bins_.size()) == nq_,
+  TLRWSE_REQUIRE(static_cast<index_t>(freq_bins.size()) == nq_,
                  "bins/kernels count mismatch");
   ns_ = stream_->rows();
   nr_ = stream_->cols();
@@ -104,26 +101,21 @@ MdcOperator::MdcOperator(index_t nt, std::vector<index_t> freq_bins,
   }
   TLRWSE_REQUIRE(expect == nq_, "kernel stream shards do not cover all ", nq_,
                  " frequencies");
-  for (index_t q = 0; q < nq_; ++q) {
-    const index_t bin = freq_bins_[static_cast<std::size_t>(q)];
-    TLRWSE_REQUIRE(bin > 0 && bin < nt_ / 2,
-                   "frequency bin must exclude DC and Nyquist, got ", bin);
-  }
-  std::vector<index_t> sorted(freq_bins_);
-  std::sort(sorted.begin(), sorted.end());
-  TLRWSE_REQUIRE(std::adjacent_find(sorted.begin(), sorted.end()) ==
-                     sorted.end(),
+  // dft_ holds its own tables, so the by-value bins may be sorted here.
+  std::sort(freq_bins.begin(), freq_bins.end());
+  TLRWSE_REQUIRE(std::adjacent_find(freq_bins.begin(), freq_bins.end()) ==
+                     freq_bins.end(),
                  "frequency bins must be distinct");
 }
 
 void MdcOperator::kernel_sweep(PageScratch& ps, bool adjoint,
                                index_t nrhs) const {
   [[maybe_unused]] const int team = freq_team_size(inner_threads_);
-  const index_t nf_full = nt_ / 2 + 1;
+  const index_t ldq = dft_.ldq();
   const index_t nin = adjoint ? ns_ : nr_;
   const index_t nout = adjoint ? nr_ : ns_;
-  const std::span<const cf32> in_hat(ps.in_hat);
-  const std::span<cf32> out_hat(ps.out_hat);
+  const std::span<const cf32> in_band(ps.in_band);
+  const std::span<cf32> out_band(ps.out_band);
   const bool trace_freqs = obs::Tracer::detail_enabled();
   ApplyMetrics& met = ApplyMetrics::instance();
   // Captured once: the hook lives on the calling thread, but every team
@@ -158,30 +150,23 @@ void MdcOperator::kernel_sweep(PageScratch& ps, bool adjoint,
             continue;
           }
         }
-        // Gather an nin x nrhs panel at this frequency's bin, one
-        // multi-RHS kernel call, scatter back. Each frequency reads and
-        // writes only its own bin, so the loop needs no shared state
-        // beyond per-thread scratch.
+        // Gather an nin x nrhs panel at band entry q, one multi-RHS
+        // kernel call, scatter back. Each frequency reads and writes only
+        // its own band entry, so the loop needs no shared state beyond
+        // per-thread scratch.
         const std::uint64_t t0 = trace_freqs ? obs::Tracer::now_ns() : 0;
         FreqScratch& fs = freq_scratch_.local();
         fs.in.resize(static_cast<std::size_t>(nin * nrhs));
         fs.out.resize(static_cast<std::size_t>(nout * nrhs));
-        const index_t bin = freq_bins_[static_cast<std::size_t>(q)];
-        for (index_t r = 0; r < nrhs; ++r) {
-          for (index_t i = 0; i < nin; ++i) {
-            fs.in[static_cast<std::size_t>(r * nin + i)] =
-                in_hat[static_cast<std::size_t>((r * nin + i) * nf_full +
-                                                bin)];
-          }
+        for (index_t i = 0; i < nin * nrhs; ++i) {
+          fs.in[static_cast<std::size_t>(i)] =
+              in_band[static_cast<std::size_t>(i * ldq + q)];
         }
         kernels[static_cast<std::size_t>(q - q_begin)]->apply_panel(
             adjoint, fs.in, fs.out, nrhs, fs.kernel);
-        for (index_t r = 0; r < nrhs; ++r) {
-          for (index_t o = 0; o < nout; ++o) {
-            out_hat[static_cast<std::size_t>((r * nout + o) * nf_full +
-                                             bin)] =
-                fs.out[static_cast<std::size_t>(r * nout + o)];
-          }
+        for (index_t o = 0; o < nout * nrhs; ++o) {
+          out_band[static_cast<std::size_t>(o * ldq + q)] =
+              fs.out[static_cast<std::size_t>(o)];
         }
         if (trace_freqs) {
           const std::uint64_t dur = obs::Tracer::now_ns() - t0;
@@ -214,30 +199,20 @@ void MdcOperator::sweep(const char* span, bool adjoint,
                  "input size");
   TLRWSE_REQUIRE(static_cast<index_t>(out.size()) == nt_ * nout * nrhs,
                  "output size");
-  const index_t nf_full = nt_ / 2 + 1;
-  const std::size_t in_page = static_cast<std::size_t>(nf_full * nin);
-  const std::size_t out_page = static_cast<std::size_t>(nf_full * nout);
-  const std::size_t in_len = static_cast<std::size_t>(nt_ * nin);
-  const std::size_t out_len = static_cast<std::size_t>(nt_ * nout);
+  const int team = freq_team_size(inner_threads_);
   PageScratch& ps = page_scratch_.local();
+  ps.in_band.resize(static_cast<std::size_t>(dft_.ldq() * nin * nrhs));
+  ps.out_band.resize(static_cast<std::size_t>(dft_.ldq() * nout * nrhs));
 
-  // F: batched rFFT over each RHS's input traces.
-  ps.in_hat.resize(in_page * static_cast<std::size_t>(nrhs));
+  // F: the retained bins of every input trace of every RHS, one GEMM.
   {
     TLRWSE_TRACE_SPAN("mdc.fft_forward", "mdc");
     WallTimer fft_timer;
-    for (index_t r = 0; r < nrhs; ++r) {
-      const auto ru = static_cast<std::size_t>(r);
-      fft::rfft_batch(plan_, in.subspan(ru * in_len, in_len), nin,
-                      std::span<cf32>(ps.in_hat).subspan(ru * in_page, in_page),
-                      ps.fft);
-    }
+    dft_.forward(in, nin * nrhs, ps.in_band, team);
     met.fft_s.record(fft_timer.seconds());
   }
 
-  // K or K^H: per-frequency kernel MVMs into the output spectrum; bins
-  // outside the retained band stay zero.
-  ps.out_hat.assign(out_page * static_cast<std::size_t>(nrhs), cf32{});
+  // K or K^H: per-frequency kernel MVMs from one band page into the other.
   {
     TLRWSE_TRACE_SPAN("mdc.kernel_loop", "mdc");
     WallTimer kernel_timer;
@@ -245,17 +220,11 @@ void MdcOperator::sweep(const char* span, bool adjoint,
     met.kernel_loop_s.record(kernel_timer.seconds());
   }
 
-  // F^H: Hermitian inverse rFFT back to time.
+  // F^H: the band back to time, reading only the retained bins.
   {
     TLRWSE_TRACE_SPAN("mdc.fft_inverse", "mdc");
     WallTimer fft_timer;
-    for (index_t r = 0; r < nrhs; ++r) {
-      const auto ru = static_cast<std::size_t>(r);
-      fft::irfft_batch(
-          plan_,
-          std::span<const cf32>(ps.out_hat).subspan(ru * out_page, out_page),
-          nout, out.subspan(ru * out_len, out_len), ps.fft);
-    }
+    dft_.inverse(ps.out_band, nout * nrhs, out, team);
     met.fft_s.record(fft_timer.seconds());
   }
   met.apply_s.record(apply_timer.seconds());

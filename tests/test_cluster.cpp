@@ -208,6 +208,25 @@ TEST(Wire, FromFrameChecksTheType) {
   EXPECT_THROW((void)ApplyMsg::from_frame(msg.to_frame()), WireError);
 }
 
+TEST(Wire, ApplyMsgWithEmptyDataRoundTrips) {
+  // An empty payload decodes through a zero-length cf32 read, whose
+  // destination span has no storage.
+  ApplyMsg msg;
+  msg.request_id = 11;
+  msg.shard_id = 4;
+  msg.nrhs = 1;
+  const ApplyMsg back = ApplyMsg::from_frame(msg.to_frame());
+  EXPECT_EQ(back.request_id, 11u);
+  EXPECT_EQ(back.shard_id, 4u);
+  EXPECT_TRUE(back.data.empty());
+
+  ApplyOkMsg ok;
+  ok.request_id = 12;
+  const ApplyOkMsg ok_back = ApplyOkMsg::from_frame(ok.to_frame());
+  EXPECT_EQ(ok_back.request_id, 12u);
+  EXPECT_TRUE(ok_back.data.empty());
+}
+
 // ------------------------------------------------------------- planner --
 
 TEST(ShardPlanner, ShardsPartitionTheFrequencyRange) {
@@ -420,6 +439,23 @@ TEST(RemoteMdcOperator, DenseShardedApplyMatchesLocalBitwise) {
   EXPECT_EQ(std::memcmp(Y_local.data(), Y_remote.data(),
                         Y_local.size() * sizeof(float)),
             0);
+}
+
+TEST(RemoteMdcOperator, RejectsPlacementBinsOutsideTheBand) {
+  // Shard bins arrive from workers; one at DC or Nyquist must fail the
+  // transform's construction typed, not index past the band page.
+  std::vector<std::unique_ptr<WorkerClient>> fleet;
+  for (const index_t bad : {index_t{0}, index_t{16}, index_t{-3}}) {
+    auto placement = std::make_shared<Placement>();
+    placement->nt = 32;
+    placement->ns = 2;
+    placement->nr = 2;
+    ShardAssignment shard;
+    shard.freq_bins = {1, bad};
+    placement->shards = {shard};
+    EXPECT_THROW(RemoteMdcOperator(fleet, placement, 1), std::invalid_argument)
+        << "bin " << bad;
+  }
 }
 
 /// Kernel that, mid-apply, sends a kCancel for `id` to its own worker and

@@ -23,10 +23,10 @@
 #include "tlrwse/tlr/tlr_mvm.hpp"
 
 // --- Counting allocator -----------------------------------------------------
-// Replaces the global scalar/array operator new to count every heap
-// allocation made by this binary; the steady-state tests read the counter
-// around hot-path calls. delete is left untouched (counting frees is not
-// needed and the default implementation stays malloc-compatible).
+// Replaces the global scalar/array operator new, plain and nothrow, to
+// count every heap allocation made by this binary; the steady-state tests
+// read the counter around hot-path calls. Every replaced new is
+// malloc-backed and every delete frees (frees are not counted).
 namespace {
 std::atomic<std::size_t> g_alloc_count{0};
 }
@@ -43,6 +43,19 @@ void* operator new(std::size_t n) {
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t n) { return ::operator new(n); }
+// The nothrow forms too (std::stable_sort takes its buffer from them): left
+// to the runtime, their memory would come back through the free() below.
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(n ? n : 1);
+}
+void* operator new[](std::size_t n, const std::nothrow_t& tag) noexcept {
+  return ::operator new(n, tag);
+}
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
@@ -51,7 +64,7 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 namespace tlrwse::mdc {
 namespace {
 
-constexpr index_t kNt = 64;  // power of two: the in-place FFT path
+constexpr index_t kNt = 64;
 
 // Kernel backends under test: dense and TLR. The three TLR entries carry
 // the names of the scalar reference kernels, but TlrMvm always runs its
@@ -71,7 +84,8 @@ std::unique_ptr<FrequencyMvm> make_kernel(Backend backend,
 /// Randomized multi-frequency operator: ragged tile grids (ns, nr not
 /// multiples of nb) and a different oscillatory kernel per frequency.
 std::unique_ptr<MdcOperator> make_operator(Backend backend, index_t ns = 22,
-                                           index_t nr = 17, index_t nb = 6) {
+                                           index_t nr = 17, index_t nb = 6,
+                                           index_t nt = kNt) {
   const std::vector<index_t> bins{3, 5, 7, 9, 11, 14, 17, 20, 23, 26};
   std::vector<std::unique_ptr<FrequencyMvm>> kernels;
   for (std::size_t q = 0; q < bins.size(); ++q) {
@@ -79,7 +93,7 @@ std::unique_ptr<MdcOperator> make_operator(Backend backend, index_t ns = 22,
         ns, nr, 4.0 + 2.5 * static_cast<double>(q));
     kernels.push_back(make_kernel(backend, k, nb));
   }
-  return std::make_unique<MdcOperator>(kNt, bins, std::move(kernels));
+  return std::make_unique<MdcOperator>(nt, bins, std::move(kernels));
 }
 
 /// Runs y = A x at a forced OpenMP thread count, restoring the old count.
@@ -443,6 +457,40 @@ TEST(MdcAllocation, SteadyStateAppliesAreAllocationFree) {
   const std::size_t after = g_alloc_count.load();
   EXPECT_EQ(after - before, 0u)
       << "steady-state apply/apply_adjoint allocated " << (after - before)
+      << " times";
+}
+
+TEST(MdcAllocation, SteadyStateAppliesAreAllocationFreeAtNonPow2Nt) {
+  // The band DFT has no power-of-two path: nt = 250 (Bluestein territory
+  // for a full-length FFT) must be as allocation-free as nt = 64, batched
+  // applies included.
+  const auto op = make_operator(Backend::kTlrFused, 22, 17, 6, /*nt=*/250);
+  Rng rng(42);
+  constexpr index_t kNrhs = 3;
+  const auto x = tlrwse::testing::random_vector<float>(rng, op->cols() * kNrhs);
+  const auto yb =
+      tlrwse::testing::random_vector<float>(rng, op->rows() * kNrhs);
+  std::vector<float> y(static_cast<std::size_t>(op->rows() * kNrhs));
+  std::vector<float> xt(static_cast<std::size_t>(op->cols() * kNrhs));
+  const auto one = [](const std::vector<float>& v, index_t n) {
+    return std::span<const float>(v.data(), static_cast<std::size_t>(n));
+  };
+  const auto pass = [&] {
+    op->apply(one(x, op->cols()),
+              std::span<float>(y.data(), static_cast<std::size_t>(op->rows())));
+    op->apply_adjoint(
+        one(yb, op->rows()),
+        std::span<float>(xt.data(), static_cast<std::size_t>(op->cols())));
+    op->apply_batch(x, y, kNrhs);
+    op->apply_adjoint_batch(yb, xt, kNrhs);
+  };
+  for (int i = 0; i < 3; ++i) pass();
+
+  const std::size_t before = g_alloc_count.load();
+  for (int i = 0; i < 5; ++i) pass();
+  const std::size_t after = g_alloc_count.load();
+  EXPECT_EQ(after - before, 0u)
+      << "steady-state applies at nt=250 allocated " << (after - before)
       << " times";
 }
 

@@ -4,7 +4,8 @@
 // width-1, just-past-register-boundary, and padded-lda operands with NaN
 // sentinels in the padding), bitwise equality of multi-RHS kernels with
 // their single-RHS forms, plan-vs-kernel agreement on compressed matrices
-// (including zero-rank tiles), and the batched MdcOperator paths. The
+// (including zero-rank tiles), the band DFT of the MDC transform on every
+// tier, and the batched MdcOperator paths. The
 // whole binary is registered twice in ctest: once plain and once with
 // TLRWSE_SIMD_LEVEL=scalar, which forces the dispatcher down to the
 // reference tier.
@@ -21,6 +22,7 @@
 #include <vector>
 
 #include "test_helpers.hpp"
+#include "tlrwse/fft/band_dft.hpp"
 #include "tlrwse/la/simd.hpp"
 #include "tlrwse/mdc/mdc_operator.hpp"
 #include "tlrwse/tlr/mvm_plan.hpp"
@@ -324,6 +326,52 @@ TEST_P(SimdParity, SplitMergeRoundTrips) {
                 x[static_cast<std::size_t>(i)]);
     }
   }
+}
+
+TEST_P(SimdParity, BandDftIsBitwiseEqualToScalar) {
+  // Forward and inverse are sgemv_multi over padded tables; a non-power-of-
+  // two nt, an unsorted band and a ragged trace count hit every tail path.
+  const index_t nt = 250;
+  const index_t ntr = 13;
+  const std::vector<index_t> bins{124, 1, 9, 40, 3, 77};
+  const fft::BandDft dft(nt, bins, &tier());
+  const fft::BandDft dft_ref(nt, bins, &ref());
+  Rng rng(606);
+  std::vector<float> x(static_cast<std::size_t>(nt * ntr));
+  fill_normal(rng, x.data(), x.size());
+  std::vector<cf32> band(static_cast<std::size_t>(dft.ldq() * ntr));
+  std::vector<cf32> band_ref(band.size());
+  dft.forward(x, ntr, band, 1);
+  dft_ref.forward(x, ntr, band_ref, 1);
+  EXPECT_EQ(band, band_ref);
+  std::vector<float> back(x.size());
+  std::vector<float> back_ref(x.size());
+  dft.inverse(band_ref, ntr, back, 1);
+  dft_ref.inverse(band_ref, ntr, back_ref, 1);
+  EXPECT_EQ(back, back_ref);
+}
+
+TEST(SimdBandDft, ActiveTierMatchesScalarTable) {
+  // Under TLRWSE_SIMD_LEVEL=scalar the default-dispatched transform runs
+  // the scalar tier; either way it must equal the scalar table bitwise.
+  const index_t nt = 64;
+  const index_t ntr = 10;
+  const std::vector<index_t> bins{3, 31, 17, 1};
+  const fft::BandDft active(nt, bins);
+  const fft::BandDft scalar(nt, bins, &simd::table(simd::Level::kScalar));
+  Rng rng(607);
+  std::vector<float> x(static_cast<std::size_t>(nt * ntr));
+  fill_normal(rng, x.data(), x.size());
+  std::vector<cf32> a(static_cast<std::size_t>(active.ldq() * ntr));
+  std::vector<cf32> b(a.size());
+  active.forward(x, ntr, a, 2);
+  scalar.forward(x, ntr, b, 1);
+  EXPECT_EQ(a, b);
+  std::vector<float> ya(x.size());
+  std::vector<float> yb(x.size());
+  active.inverse(a, ntr, ya, 2);
+  scalar.inverse(a, ntr, yb, 1);
+  EXPECT_EQ(ya, yb);
 }
 
 std::string level_param_name(

@@ -20,7 +20,14 @@ import sys
 SCHEMAS = {
     "mdc_throughput": (
         {"bench", "nt", "num_freq", "ns", "nr", "kernel"},
-        {"threads", "sec_per_apply_pair", "applies_per_sec", "speedup_vs_1"},
+        {
+            "threads",
+            "sec_per_apply_pair",
+            "applies_per_sec",
+            "speedup_vs_1",
+            "fft_s",
+            "kernel_loop_s",
+        },
     ),
     "serve_throughput": (
         {"bench"},
